@@ -24,7 +24,8 @@
 //! the structured algorithms, the exact closed-form simulated time.
 //!
 //! [`workloads`] generates the random inputs the experiments sweep over
-//! (seeded, so every table in `EXPERIMENTS.md` is reproducible).
+//! (seeded, so every experiment table and `BENCH_*.json` baseline is
+//! reproducible).
 
 pub mod apsd;
 pub mod closure;

@@ -35,6 +35,11 @@
 //!   (no wall-clock noise) — a regression means the placement itself
 //!   got worse, not the runner.
 //!
+//! Two absolute floors need no baseline counterpart: the scheduled
+//! gauss/closure cases must not lose to eager, and the `dataflow d=512
+//! units=2` case must not lose to serial whenever the fresh recording
+//! ran on at least as many cores as the case has threads.
+//!
 //! Cases present in only one file (the CI smoke run sweeps fewer sizes
 //! than the committed full run) are reported and skipped.
 //!
@@ -54,6 +59,13 @@ use std::process::ExitCode;
 /// only fires on full recordings.
 const WALL_FLOOR_CASES: [&str; 2] = ["gauss d=256", "closure n=256"];
 const WALL_FLOOR: f64 = 1.0;
+
+/// Thread-parallel cases held to the same absolute floor against their
+/// serial rival: ROADMAP item 2's "parallel beats serial on the cores
+/// we have". Gated only when the fresh recording had at least as many
+/// cores as the case has threads — on fewer cores the dataflow driver
+/// takes its inline path, which replays serial order and cannot win.
+const PARALLEL_FLOOR_CASES: [&str; 1] = ["dataflow d=512 units=2"];
 
 /// Relative drop in the `dataflow` cases' `sched_efficiency` that fails
 /// the diff. Deliberately tighter than the wall-clock `--threshold` and
@@ -213,10 +225,19 @@ fn main() -> ExitCode {
     // counterpart — the contract is "scheduled must not lose to eager",
     // measured within the fresh run itself.
     for f in fresh {
-        if !WALL_FLOOR_CASES.contains(&f.name.as_str()) {
+        let parallel = PARALLEL_FLOOR_CASES.contains(&f.name.as_str());
+        if !parallel && !WALL_FLOOR_CASES.contains(&f.name.as_str()) {
             continue;
         }
         let Some(fw) = f.speedup_wall else { continue };
+        let threads = f.threads.unwrap_or(1.0);
+        if parallel && fresh_file.cores.is_none_or(|c| c < threads) {
+            println!(
+                "{:<20}  wall floor skipped (cores {:?} < threads {threads})",
+                f.name, fresh_file.cores
+            );
+            continue;
+        }
         compared += 1;
         let regressed = fw < WALL_FLOOR;
         let verdict = if regressed { "REGRESSED" } else { "ok" };
@@ -227,9 +248,14 @@ fn main() -> ExitCode {
         if regressed {
             regressions += 1;
             let level = if informational { "warning" } else { "error" };
+            let rule = if parallel {
+                "parallel path must not lose to serial"
+            } else {
+                "scheduled path must not lose to eager"
+            };
             println!(
-                "::{level}::bench {}: scheduled wall speedup {fw:.2}x is below the {WALL_FLOOR:.2}x \
-                 floor (scheduled path must not lose to eager)",
+                "::{level}::bench {}: wall speedup {fw:.2}x is below the {WALL_FLOOR:.2}x \
+                 floor ({rule})",
                 f.name
             );
         }

@@ -1,4 +1,4 @@
-//! Regenerates the e12_extmem experiment table (see DESIGN.md's index).
+//! Regenerates the e12_extmem experiment table (see the `tcu_bench::experiments` index).
 //! Pass --quick for the reduced smoke-test sweep.
 fn main() {
     tcu_bench::experiment_main(tcu_bench::experiments::e12_extmem::run);

@@ -1,5 +1,5 @@
-//! Runs every experiment in DESIGN.md's index, in order. Pass --quick
-//! for reduced sweeps. `EXPERIMENTS.md` is a snapshot of this output.
+//! Runs every experiment in `tcu_bench::experiments`' index, in order.
+//! Pass --quick for reduced sweeps.
 fn main() {
     tcu_bench::experiment_main(tcu_bench::experiments::run_all);
 }

@@ -1,6 +1,7 @@
-//! One module per experiment in `DESIGN.md`'s index. Each exposes
-//! `run(quick: bool)`: `quick` shrinks the sweeps for smoke tests; the
-//! full sweeps are what `EXPERIMENTS.md` records.
+//! One module per experiment (the index below; the README's Quickstart
+//! shows how to run one). Each exposes `run(quick: bool)`: `quick`
+//! shrinks the sweeps for smoke tests; the full sweeps are what the
+//! `exp_*` binaries print by default.
 
 pub mod e10_karatsuba;
 pub mod e11_poly;

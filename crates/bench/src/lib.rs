@@ -1,13 +1,15 @@
 //! # tcu-bench — experiment harness for the TCU reproduction
 //!
 //! Shared plumbing for the `exp_*` binaries (one per paper claim — see
-//! `DESIGN.md`'s per-experiment index): aligned table rendering, log-log
-//! slope fitting (the scaling-exponent check every theorem-validation
-//! experiment performs), and geometric-mean ratio summaries.
+//! the [`experiments`] module index and the README's workspace table):
+//! aligned table rendering, log-log slope fitting (the scaling-exponent
+//! check every theorem-validation experiment performs), and
+//! geometric-mean ratio summaries.
 //!
-//! Every binary prints its table to stdout; `EXPERIMENTS.md` is a
-//! snapshot of those outputs with commentary. All workloads are seeded,
-//! so reruns reproduce the tables bit-for-bit.
+//! Every binary prints its table to stdout. All workloads are seeded,
+//! so reruns reproduce the tables bit-for-bit; the committed wall-clock
+//! baselines are `BENCH_matmul.json` and `BENCH_sched.json` (README,
+//! "Compiled execution plans" and "Parallel execution").
 
 pub mod experiments;
 

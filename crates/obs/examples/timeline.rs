@@ -13,10 +13,10 @@
 //! `chrome://tracing`) to see the per-unit timelines.
 
 use std::sync::Arc;
-use tcu_core::{HostExecutor, ModelTensorUnit, ParallelTcuMachine, TensorOp};
+use tcu_core::{HostExecutor, ModelTensorUnit, ParallelTcuMachine, RecoveryPolicy, TensorOp};
 use tcu_linalg::Matrix;
-use tcu_obs::{ObsSink, RunMeta};
-use tcu_sched::{ExecEnv, OpGraph, OperandRef, Scheduler};
+use tcu_obs::{EventKind, Lane, ObsSink, RunMeta};
+use tcu_sched::{DataflowTuning, ExecEnv, OpGraph, OperandRef, Scheduler};
 
 const D: usize = 512;
 const SQRT_M: usize = 16;
@@ -111,9 +111,10 @@ fn main() -> std::io::Result<()> {
         assert!(ops > 0, "unit {u} executed ops");
     }
 
-    // A second run pinned to the barrier-free dataflow driver, with its
-    // own sink: its report must surface the dispatch telemetry (ready
-    // deque depth, steal counters) the driver records.
+    // A second run pinned to the barrier-free dataflow driver's worker
+    // pool (threaded even on a one-core host), with its own sink: its
+    // report must surface the dispatch telemetry (ready deque depth,
+    // steal counters) and the merge pass's accumulator hand-offs.
     let df_sink = Arc::new(ObsSink::new());
     let mut df_mach = ParallelTcuMachine::new(unit, units);
     let mut c2 = Matrix::<f64>::zeros(d, d);
@@ -122,7 +123,12 @@ fn main() -> std::io::Result<()> {
     env.bind_input(ab, a.view());
     env.bind_input(bb, b.view());
     env.bind_output(cb, c2.view_mut());
-    plan.run_dataflow(&mut df_mach, &mut env);
+    let threaded = DataflowTuning {
+        steal_seed: 0,
+        inline: Some(false),
+    };
+    plan.try_run_dataflow_with(&mut df_mach, &mut env, RecoveryPolicy::default(), threaded)
+        .unwrap_or_else(|e| panic!("{e}"));
     drop(env);
     assert_eq!(c, c2, "dataflow bytes match the mode-routed run");
 
@@ -135,6 +141,21 @@ fn main() -> std::io::Result<()> {
     assert!(
         df_report.contains("steals"),
         "dataflow report surfaces the steal counter"
+    );
+    // Each column block's accumulate chain runs in one scratch: every
+    // link but the last hands it on instead of merging it back.
+    let carried: u64 = df_sink
+        .lane_events(Lane::Scheduler)
+        .iter()
+        .map(|ev| match ev.kind {
+            EventKind::Merge { carried, .. } => u64::from(carried),
+            _ => 0,
+        })
+        .sum();
+    assert!(carried > 0, "threaded dataflow carries accumulators");
+    assert!(
+        df_report.contains("merge: "),
+        "dataflow report surfaces the merge split"
     );
 
     let path = tcu_obs::env_trace_path().unwrap_or("tcu_timeline_trace.json");

@@ -101,8 +101,11 @@ pub enum EventKind {
     },
     /// The merge pass copying per-op scratch into outputs.
     Merge {
-        /// Scratch buffers merged.
+        /// Scratch buffers written back into outputs.
         items: u32,
+        /// Scratch buffers handed to a later op of their accumulate
+        /// chain instead of written back (threaded dataflow driver).
+        carried: u32,
     },
     /// One op executed on a unit: wall time in the span, simulated
     /// charge and streamed rows here.
@@ -644,7 +647,8 @@ impl ObsSink {
 
     /// The plain-text run report: metadata header, per-unit busy/idle
     /// utilization, wave occupancy histogram, the wall-time split
-    /// across plan/compile/stage/execute/merge, fault/retry lines, and
+    /// across plan/compile/stage/execute/merge, the merge pass's
+    /// written-back vs carried scratch counts, fault/retry lines, and
     /// the metrics-registry snapshot.
     #[must_use]
     pub fn report(&self, meta: &RunMeta) -> String {
@@ -673,6 +677,7 @@ impl ObsSink {
         let mut occupancy: Vec<(u32, u64)> = Vec::new();
         let mut phase = [0u64; 5]; // plan, compile, stage, execute, merge
         let mut retries = (0u64, 0u64); // count, simulated backoff
+        let mut merges = (0u64, 0u64, 0u64); // spans, written back, carried
         for ev in self.lane_events(Lane::Scheduler) {
             match ev.kind {
                 EventKind::Wave { units_busy, .. } => {
@@ -684,7 +689,12 @@ impl ObsSink {
                 EventKind::PlanBuild { .. } => phase[0] += ev.dur_ns,
                 EventKind::Compile { .. } => phase[1] += ev.dur_ns,
                 EventKind::Stage { .. } => phase[2] += ev.dur_ns,
-                EventKind::Merge { .. } => phase[4] += ev.dur_ns,
+                EventKind::Merge { items, carried } => {
+                    phase[4] += ev.dur_ns;
+                    merges.0 += 1;
+                    merges.1 += u64::from(items);
+                    merges.2 += u64::from(carried);
+                }
                 EventKind::Retry { backoff, .. } => {
                     retries.0 += 1;
                     retries.1 += backoff;
@@ -708,6 +718,12 @@ impl ObsSink {
             .zip(phase)
         {
             out.push_str(&format!("  {name:<8} {ns}\n"));
+        }
+        if merges.0 > 0 {
+            out.push_str(&format!(
+                "merge: {} spans, {} written back, {} carried\n",
+                merges.0, merges.1, merges.2
+            ));
         }
         if retries.0 > 0 {
             out.push_str(&format!(
@@ -812,7 +828,9 @@ fn args_json(kind: &EventKind) -> String {
             units_busy,
         } => format!("\"wave\": {wave}, \"items\": {items}, \"units_busy\": {units_busy}"),
         EventKind::Stage { copies } => format!("\"copies\": {copies}"),
-        EventKind::Merge { items } => format!("\"items\": {items}"),
+        EventKind::Merge { items, carried } => {
+            format!("\"items\": {items}, \"carried\": {carried}")
+        }
         EventKind::OpExec {
             unit,
             rows,
@@ -1044,9 +1062,16 @@ mod tests {
                 600,
             ),
         );
+        for (items, carried) in [(1, 4), (2, 1)] {
+            sink.record(
+                Lane::Scheduler,
+                span(EventKind::Merge { items, carried }, 600, 10),
+            );
+        }
         let rep = sink.report(&RunMeta::default());
         assert!(rep.contains("unit 2: busy 500 ns (100.0%), idle 0 ns"));
         assert!(rep.contains("wave occupancy"));
+        assert!(rep.contains("merge: 2 spans, 3 written back, 5 carried"));
         assert!(rep.contains("ops_executed=1"));
         assert!(rep.contains("waves=1"));
     }

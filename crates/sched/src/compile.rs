@@ -30,15 +30,22 @@
 //!   output instead, the parallel runtime snapshots it once at run
 //!   start (its content cannot change during the run).
 //!
+//! Beyond staging, compilation resolves the hazard structure the
+//! dataflow driver gates on (predecessor counts, successor lists). The
+//! threaded dataflow driver also asks, on first use, for each op's
+//! *carry*: the later accumulate, if any, that continues its output
+//! rectangle's chain and so receives its scratch directly.
+//!
 //! Compilation happens implicitly on first execution and is cached in
 //! the schedule (see [`Schedule::compile`]), so `run`/`try_run*` are
 //! thin compile-then-execute wrappers and repeat runs skip straight to
 //! the precomputed form.
 
-use crate::graph::{hazard_successors, Node, OperandRef};
+use crate::graph::{hazard_successors, BufferId, Node, OperandRef};
 use crate::run::ExecEnv;
 use crate::scheduler::Schedule;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use tcu_core::{TcuError, TensorOp};
 use tcu_linalg::Scalar;
 use tcu_obs::Recorder as _;
@@ -73,6 +80,26 @@ pub(crate) struct CompiledOp {
     pub(crate) out_cols: usize,
     pub(crate) a: CompiledRead,
     pub(crate) b: CompiledRead,
+}
+
+impl CompiledRead {
+    /// The rectangle this operand reads.
+    fn region(&self) -> OperandRef {
+        OperandRef::new(BufferId(self.buf), self.r0, self.c0, self.rows, self.cols)
+    }
+}
+
+impl CompiledOp {
+    /// The rectangle this op writes.
+    fn out_region(&self) -> OperandRef {
+        OperandRef::new(
+            BufferId(self.out_buf),
+            self.out_r0,
+            self.out_c0,
+            self.out_rows,
+            self.out_cols,
+        )
+    }
 }
 
 /// A precomputed staging decision: snapshot `(buf, rectangle)` into
@@ -118,7 +145,27 @@ pub struct ExecutablePlan {
     pub(crate) succs: Vec<u32>,
     /// `succs` offsets, length `ops + 1`.
     pub(crate) succ_off: Vec<u32>,
+    /// Accumulator hand-offs, resolved on first use: only the threaded
+    /// dataflow driver reads them, so plans the serial, inline and wave
+    /// drivers run never pay for the pass.
+    carries: OnceLock<Carries>,
 }
+
+/// The accumulate chains of a compiled plan (see [`compute_carries`]).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Carries {
+    /// Per-op hand-off, emission order: `next[i] = j` when the threaded
+    /// dataflow driver passes op `i`'s finished scratch straight to op
+    /// `j` instead of writing it back and re-seeding; [`NO_CARRY`]
+    /// otherwise (the op writes back).
+    pub(crate) next: Vec<u32>,
+    /// `carried_in[j]`: some op hands its scratch to op `j` (the
+    /// inverse of `next`).
+    pub(crate) carried_in: Vec<bool>,
+}
+
+/// The [`Carries::next`] entry of an op that writes back.
+pub(crate) const NO_CARRY: u32 = u32::MAX;
 
 impl ExecutablePlan {
     /// Compiled ops (equals the schedule's emitted ops).
@@ -159,6 +206,21 @@ impl ExecutablePlan {
     #[must_use]
     pub fn hazard_edges(&self) -> usize {
         self.succs.len()
+    }
+
+    /// Ops whose result the threaded dataflow driver hands to a later
+    /// accumulate as its pre-seeded scratch instead of writing it back:
+    /// those whose next op touching their output rectangle accumulates
+    /// into exactly that rectangle without reading it.
+    #[must_use]
+    pub fn carried_ops(&self) -> usize {
+        self.carries().carried_in.iter().filter(|&&c| c).count()
+    }
+
+    /// The plan's accumulate chains, computed on first use.
+    pub(crate) fn carries(&self) -> &Carries {
+        self.carries
+            .get_or_init(|| compute_carries(&self.ops, &self.succs, &self.succ_off))
     }
 
     /// Op `i`'s hazard successors (emission-order indices, all `> i`).
@@ -356,7 +418,48 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
         preds,
         succs,
         succ_off,
+        carries: OnceLock::new(),
     })
+}
+
+/// The accumulate chains of a compiled op stream: op `i` carries to op
+/// `j` when `j` is the *earliest* later op whose output or either read
+/// overlaps `i`'s output rectangle, and `j` accumulates into exactly
+/// that rectangle (same buffer, origin and extent — hence the same
+/// scratch shape) without reading it. Nothing else then observes the
+/// rectangle between the two ops, so its host bytes may stay stale
+/// while the result travels as `j`'s pre-seeded scratch; the chain's
+/// last link writes back, and every later reader or overlapping writer
+/// is hazard-gated behind that write.
+///
+/// Hazard edges are not transitively reduced (a chain's first link has
+/// an edge to *every* later link), so "sole successor" would be the
+/// wrong rule. The earliest toucher is always among `i`'s successors,
+/// though: every overlapping write–write and write–read pair is an
+/// edge, so scanning the successor list suffices.
+fn compute_carries(ops: &[CompiledOp], succs: &[u32], succ_off: &[u32]) -> Carries {
+    let mut next = vec![NO_CARRY; ops.len()];
+    let mut carried_in = vec![false; ops.len()];
+    for (i, n) in ops.iter().enumerate() {
+        let out = n.out_region();
+        let reads = |x: &CompiledOp| x.a.region().overlaps(&out) || x.b.region().overlaps(&out);
+        let earliest = succs[succ_off[i] as usize..succ_off[i + 1] as usize]
+            .iter()
+            .copied()
+            .filter(|&j| {
+                let x = &ops[j as usize];
+                x.out_region().overlaps(&out) || reads(x)
+            })
+            .min();
+        if let Some(j) = earliest {
+            let x = &ops[j as usize];
+            if x.op.accumulate && x.out_region() == out && !reads(x) {
+                next[i] = j;
+                carried_in[j as usize] = true;
+            }
+        }
+    }
+    Carries { next, carried_in }
 }
 
 impl Schedule {
@@ -402,5 +505,70 @@ impl Schedule {
             });
         }
         self.compiled()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{BufferId, OpGraph, OperandRef, Scheduler};
+    use tcu_core::{ModelTensorUnit, TensorOp};
+
+    /// Record link `k` of column block `j`'s chain in the blocked
+    /// product `C += A·B`.
+    fn link(g: &mut OpGraph, [a, b, c]: [BufferId; 3], d: usize, s: usize, j: usize, k: usize) {
+        g.record(
+            TensorOp::mul_acc(d, s),
+            OperandRef::new(a, 0, k * s, d, s),
+            OperandRef::new(b, k * s, j * s, s, s),
+            OperandRef::new(c, 0, j * s, d, s),
+        );
+    }
+
+    fn carries(g: &OpGraph, s: usize) -> usize {
+        let unit = ModelTensorUnit::new(s * s, 0);
+        let plan = Scheduler::new().with_units(2).plan(g, &unit);
+        plan.compiled().expect("compiles").carried_ops()
+    }
+
+    #[test]
+    fn blocked_product_chains_carry_and_a_mid_chain_reader_breaks_one_link() {
+        let (d, s) = (64, 16);
+        let q = d / s;
+        let mut g = OpGraph::new();
+        let bufs = [
+            g.buffer("A", d, d),
+            g.buffer("B", d, d),
+            g.buffer("C", d, d),
+        ];
+        for j in 0..q {
+            for k in 0..q {
+                link(&mut g, bufs, d, s, j, k);
+            }
+        }
+        assert_eq!(carries(&g, s), q * (q - 1), "4 chains x 3 hand-offs");
+
+        // Same product with C's first column block read between its
+        // second and third links: that one hand-off must write back.
+        let mut g = OpGraph::new();
+        let bufs = [
+            g.buffer("A", d, d),
+            g.buffer("B", d, d),
+            g.buffer("C", d, d),
+        ];
+        let out = g.buffer("D", d, s);
+        for j in 0..q {
+            for k in 0..q {
+                link(&mut g, bufs, d, s, j, k);
+                if (j, k) == (0, 1) {
+                    g.record(
+                        TensorOp::mul(d, s),
+                        OperandRef::new(bufs[2], 0, 0, d, s),
+                        OperandRef::new(bufs[1], 0, 0, s, s),
+                        OperandRef::new(out, 0, 0, d, s),
+                    );
+                }
+            }
+        }
+        assert_eq!(carries(&g, s), q * (q - 1) - 1);
     }
 }

@@ -80,12 +80,19 @@
 //!   run's; wall-clock advances once, by the placement's simulated
 //!   makespan, so `time()` lands on [`Schedule::dataflow_makespan`]
 //!   (never above [`Schedule::makespan`]);
-//! * **numerics** — workers execute into per-op scratch exactly as the
-//!   wave driver does; the main thread commits finished scratches and
-//!   only then releases hazard successors, so overlapping writes
-//!   retire in hazard (emission) order and elements are bit-identical
-//!   to [`Schedule::run`] for every unit count, steal seed, and
-//!   interleaving;
+//! * **numerics** — workers execute into per-op scratch; the main
+//!   thread commits finished scratches and only then releases hazard
+//!   successors, so overlapping writes retire in hazard (emission)
+//!   order and elements are bit-identical to [`Schedule::run`] for
+//!   every unit count, steal seed, and interleaving. Accumulate chains
+//!   stay in their scratch: where the compiled plan records a carry
+//!   ([`crate::ExecutablePlan::carried_ops`] — the next op touching an
+//!   output rectangle accumulates into exactly that rectangle), the
+//!   commit hands the scratch to that op as its pre-seeded destination
+//!   instead of copying it back, so the threaded driver's main thread
+//!   copies one strip per chain, not a seed and a merge per op. The
+//!   hand-off holds bytes identical to what the host rectangle would
+//!   hold, and nothing reads or writes the rectangle in between;
 //! * **dispatch overhead** — each idle unit receives its entire ready
 //!   prefix as *one* channel message, and written-buffer reads are
 //!   snapshotted incrementally, right before their first reader's
@@ -100,10 +107,18 @@
 //! work onto survivors, preserving the per-unit queues' start-order
 //! invariant so progress is never deadlocked) with two documented
 //! deviations: charges are recorded up front, so a run that *fails*
-//! still carries the full schedule's `Stats`; and under the inline
-//! executor a *foreign* (non-injected) panic cannot be recovered — it
-//! may have half-written its in-place destination — so it fails the
-//! run where the scratch-based drivers rebuild and requeue. Under
+//! still carries the full schedule's `Stats`; and a *foreign*
+//! (non-injected) panic fails the run with [`TcuError::UnitFault`]
+//! wherever the faulting op's destination held the only copy of
+//! committed work — every op under the inline executor (it writes in
+//! place), and carried ops under the threaded one (the torn scratch
+//! was the chain's accumulator). The threaded driver's other ops keep
+//! scratch-based recovery: they rebuild from the untouched outputs and
+//! requeue, and so does a dead worker's lost batch unless it held a
+//! carried accumulator. When the threaded driver fails, it writes
+//! every clean accumulator it still holds back into the outputs, so
+//! they hold exactly the committed ops' results; a chain whose
+//! accumulator was torn keeps its bytes from before the chain. Under
 //! permanent faults the threaded driver's recovery charges and
 //! per-unit cache counters may vary with thread timing (the committed
 //! frontier at quarantine time is physical); elements, `Stats`, and
@@ -137,7 +152,7 @@
 //! outside per-op containment (its channel disconnects) is recovered
 //! the same way, with its whole round rebuilt.
 
-use crate::compile::{CompiledRead, ExecutablePlan};
+use crate::compile::{CompiledOp, CompiledRead, ExecutablePlan, NO_CARRY};
 use crate::dataflow::{exec_mode, place_dataflow, DataflowPlacement, DataflowTuning, ExecMode};
 use crate::graph::BufferId;
 use crate::scheduler::Schedule;
@@ -929,7 +944,10 @@ impl Schedule {
                         rec,
                         tcu_obs::Lane::Scheduler,
                         merge_t0,
-                        tcu_obs::EventKind::Merge { items: merged },
+                        tcu_obs::EventKind::Merge {
+                            items: merged,
+                            carried: 0,
+                        },
                     );
                     acct.complete_wave(partition.makespan());
                     emit_span(
@@ -1001,9 +1019,15 @@ impl Schedule {
     /// advances by [`Schedule::dataflow_makespan_seeded`] of the
     /// tuning's seed (plus any charged backoff/recovery); on `Err` the
     /// makespan is not charged and outputs hold only the committed
-    /// ops' results (never a torn scratch merge — though under the
-    /// inline executor, which writes destinations in place, the failing
-    /// op's own region may be partially written by a *foreign* panic).
+    /// ops' results — the threaded executor writes back every clean
+    /// carried accumulator before returning, and never merges a torn
+    /// scratch. A *foreign* panic is the exception: under the inline
+    /// executor, which writes destinations in place, the failing op's
+    /// own region may be partially written; under the threaded one, a
+    /// foreign panic inside a carried op returns
+    /// [`TcuError::UnitFault`] and its chain's rectangle keeps the bytes
+    /// it held before the chain began (the torn scratch was the chain's
+    /// only copy).
     pub fn try_run_dataflow_with<T: Scalar, U: TensorUnit, E: Executor>(
         &self,
         mach: &mut ParallelTcuMachine<U, E>,
@@ -1235,23 +1259,45 @@ fn build_item<'v, T: Scalar>(
     plan: &ExecutablePlan,
     idx: usize,
 ) -> Result<WaveItem<'v, T>, TcuError> {
+    let mut reused = false;
+    let mut item = resolve_item(arena, inputs, stamps, plan, idx, |cop| {
+        let (mut scratch, recycled) =
+            take_scratch(pool, cop.op.rows, cop.op.width, !cop.op.accumulate);
+        reused = recycled;
+        if cop.op.accumulate {
+            let host = outputs[cop.out_buf].as_ref().ok_or(TcuError::Unbound {
+                buffer: cop.out_buf,
+                written: true,
+            })?;
+            scratch.view_mut().copy_from(host.as_view().subview(
+                cop.out_r0,
+                cop.out_c0,
+                cop.out_rows,
+                cop.out_cols,
+            ));
+        }
+        Ok(scratch)
+    })?;
+    item.reused = reused;
+    Ok(item)
+}
+
+/// Resolve op `idx`'s operand views and cache tag, then wrap them
+/// around the destination `scratch` supplies — called only once the
+/// reads have resolved, so an error never drops a carried accumulator.
+fn resolve_item<'v, T: Scalar>(
+    arena: &'v [OnceLock<Matrix<T>>],
+    inputs: &'v [Option<MatrixView<'_, T>>],
+    stamps: &[u64],
+    plan: &ExecutablePlan,
+    idx: usize,
+    scratch: impl FnOnce(&CompiledOp) -> Result<Matrix<T>, TcuError>,
+) -> Result<WaveItem<'v, T>, TcuError> {
     let cop = &plan.ops[idx];
     let a = wave_read(arena, inputs, &cop.a)?;
     let b = wave_read(arena, inputs, &cop.b)?;
     let tag = read_tag(&cop.a, stamps[cop.a.buf]);
-    let (mut scratch, reused) = take_scratch(pool, cop.op.rows, cop.op.width, !cop.op.accumulate);
-    if cop.op.accumulate {
-        let host = outputs[cop.out_buf].as_ref().ok_or(TcuError::Unbound {
-            buffer: cop.out_buf,
-            written: true,
-        })?;
-        scratch.view_mut().copy_from(host.as_view().subview(
-            cop.out_r0,
-            cop.out_c0,
-            cop.out_rows,
-            cop.out_cols,
-        ));
-    }
+    let scratch = scratch(cop)?;
     Ok(WaveItem {
         idx,
         op: cop.op,
@@ -1259,11 +1305,29 @@ fn build_item<'v, T: Scalar>(
         tag,
         b,
         scratch,
-        reused,
-        // Telemetry annotations the assembly pass stamps from the
-        // accountant (a rebuild path copies them from the plan).
+        // Telemetry annotations: `build_item` stamps `reused`, the
+        // assembly pass the rest from the accountant (a rebuild path
+        // copies them from the plan).
+        reused: false,
         rows: 0,
         sim_cost: 0,
+    })
+}
+
+/// Op `idx`'s work item around the accumulator its chain predecessor
+/// left in `resident[idx]` (threaded dataflow driver): no seed copy.
+fn carried_item<'v, T: Scalar>(
+    arena: &'v [OnceLock<Matrix<T>>],
+    inputs: &'v [Option<MatrixView<'_, T>>],
+    stamps: &[u64],
+    plan: &ExecutablePlan,
+    idx: usize,
+    resident: &mut [Option<Matrix<T>>],
+) -> Result<WaveItem<'v, T>, TcuError> {
+    resolve_item(arena, inputs, stamps, plan, idx, |_| {
+        resident[idx].take().ok_or(TcuError::PlanMismatch {
+            what: "carried accumulator missing at dispatch (driver bug)",
+        })
     })
 }
 
@@ -1751,6 +1815,13 @@ fn run_dataflow_inline<'v, T: Scalar, U: TensorUnit, E: Executor>(
 /// comes from the fixed queues (per-unit op sequences cannot depend on
 /// timing) and hazard-gated commits (overlapping writes retire in
 /// emission order).
+///
+/// Accumulate chains never round-trip through the outputs: committing
+/// an op with a carry ([`crate::compile::Carries`]) parks its
+/// scratch in the successor's `resident` slot, and dispatching that
+/// successor moves the scratch back out as its pre-seeded destination.
+/// Only a chain's last link writes back, so the main thread copies one
+/// strip per chain instead of a seed and a merge per op.
 #[allow(clippy::too_many_arguments)]
 fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
     sched: &Schedule,
@@ -1776,6 +1847,11 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
     let mut dispatched: Vec<Vec<usize>> = vec![Vec::new(); units];
     let mut quarantined = vec![false; units];
     let mut pool: Vec<Matrix<T>> = Vec::new();
+    // Accumulators in transit: `resident[j]` holds the committed result
+    // op `j` accumulates onto, from its chain predecessor's commit
+    // until `j`'s dispatch (and again if `j` comes back unexecuted).
+    let mut resident: Vec<Option<Matrix<T>>> = (0..plan.ops()).map(|_| None).collect();
+    let carried_in = &plan.carries().carried_in;
     let mut remaining = plan.ops();
 
     let run_result = std::thread::scope(|scope| {
@@ -1823,13 +1899,32 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
                         if indeg[i] != 0 {
                             break;
                         }
-                        staged += stage_pending_reads(arena, written, outputs, plan, i)?;
-                        let mut item =
-                            build_item(arena, inputs, outputs, stamps, &mut pool, plan, i)?;
+                        let built =
+                            stage_pending_reads(arena, written, outputs, plan, i).and_then(|n| {
+                                staged += n;
+                                if carried_in[i] {
+                                    carried_item(arena, inputs, stamps, plan, i, &mut resident)
+                                } else {
+                                    build_item(arena, inputs, outputs, stamps, &mut pool, plan, i)
+                                }
+                            });
+                        let mut item = match built {
+                            Ok(item) => item,
+                            Err(e) => {
+                                reclaim_leftover(
+                                    batch,
+                                    false,
+                                    carried_in,
+                                    &mut resident,
+                                    &mut pool,
+                                );
+                                return Err(e);
+                            }
+                        };
                         let cop = &plan.ops[i];
                         item.rows = cop.op.charge_rows(s) as u64;
                         item.sim_cost = acct.op_cost(&cop.op);
-                        if let Some(r) = rec {
+                        if let (Some(r), false) = (rec, carried_in[i]) {
                             let t = r.now_ns();
                             emit_span(
                                 rec,
@@ -1907,91 +2002,77 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
                                 }
                             }
                         }
-                        // Commit: merge the batch's scratches in
-                        // emission order, then release each op's
-                        // hazard successors. Commit-on-arrival is safe
-                        // because overlapping writers are themselves
-                        // hazard-ordered — a later writer cannot even
-                        // dispatch before the earlier one commits.
+                        // Commit: retire the batch in emission order,
+                        // then release each op's hazard successors.
+                        // Commit-on-arrival is safe because overlapping
+                        // writers are themselves hazard-ordered — a
+                        // later writer cannot even dispatch before the
+                        // earlier one commits.
                         if !done.is_empty() {
                             let rec = recorder.as_deref();
                             let merge_t0 = rec.map(tcu_obs::Recorder::now_ns);
-                            let merged = done.len() as u32;
-                            let mut done = done;
-                            done.sort_unstable_by_key(|(idx, _)| *idx);
-                            for (idx, scratch) in done {
-                                let cop = &plan.ops[idx];
-                                outputs[cop.out_buf]
-                                    .as_mut()
-                                    .unwrap_or_else(|| {
-                                        unreachable!("output bound (validated up front)")
-                                    })
-                                    .subview_mut(cop.out_r0, cop.out_c0, cop.out_rows, cop.out_cols)
-                                    .copy_from(scratch.view());
-                                pool.push(scratch);
+                            for &(idx, _) in &done {
                                 for &succ in plan.successors_of(idx) {
                                     indeg[succ as usize] -= 1;
                                 }
-                                remaining -= 1;
                             }
+                            remaining -= done.len();
+                            let (items, carried) =
+                                commit_done(plan, done, outputs, &mut resident, &mut pool);
                             emit_span(
                                 rec,
                                 tcu_obs::Lane::Scheduler,
                                 merge_t0,
-                                tcu_obs::EventKind::Merge { items: merged },
+                                tcu_obs::EventKind::Merge { items, carried },
                             );
                         }
-                        match terminal {
-                            None => {}
-                            Some(Terminal::Exhausted { attempts }) => {
-                                let lvl =
-                                    leftover.first().map_or(0, |it| sched.nodes()[it.idx].level);
-                                return Err(TcuError::RetriesExhausted {
-                                    unit: u,
-                                    wave: lvl,
-                                    attempts,
-                                });
-                            }
-                            Some(Terminal::Dead { dirty: _ }) => {
-                                let lvl =
-                                    leftover.first().map_or(0, |it| sched.nodes()[it.idx].level);
-                                if !policy.quarantine {
-                                    return Err(TcuError::UnitFault { unit: u, wave: lvl });
-                                }
-                                quarantined[u] = true;
-                                let mut displaced: Vec<usize> = leftover
-                                    .into_iter()
-                                    .map(|it| {
-                                        pool.push(it.scratch);
-                                        it.idx
-                                    })
-                                    .collect();
-                                displaced
-                                    .extend(queues[u][cursor[u]..].iter().map(|&x| x as usize));
-                                cursor[u] = queues[u].len();
-                                acct.record_quarantine(u, displaced.len());
-                                requeue_displaced(
-                                    acct,
-                                    plan,
-                                    &placement.start,
-                                    &mut queues,
-                                    &cursor,
-                                    displaced,
-                                    &quarantined,
-                                    lvl,
-                                )?;
-                            }
+                        let Some(terminal) = terminal else {
+                            continue;
+                        };
+                        let lvl = leftover.first().map_or(0, |it| sched.nodes()[it.idx].level);
+                        let dirty = matches!(terminal, Terminal::Dead { dirty: true });
+                        let (mut displaced, lost_carry) =
+                            reclaim_leftover(leftover, dirty, carried_in, &mut resident, &mut pool);
+                        if let Terminal::Exhausted { attempts } = terminal {
+                            return Err(TcuError::RetriesExhausted {
+                                unit: u,
+                                wave: lvl,
+                                attempts,
+                            });
                         }
+                        // A foreign panic inside a carried op tore the
+                        // only copy of its chain's committed result:
+                        // nothing to rebuild from, so the run fails (as
+                        // the inline executor's in-place writes do).
+                        if !policy.quarantine || lost_carry {
+                            return Err(TcuError::UnitFault { unit: u, wave: lvl });
+                        }
+                        quarantined[u] = true;
+                        displaced.extend(queues[u][cursor[u]..].iter().map(|&x| x as usize));
+                        cursor[u] = queues[u].len();
+                        acct.record_quarantine(u, displaced.len());
+                        requeue_displaced(
+                            acct,
+                            plan,
+                            &placement.start,
+                            &mut queues,
+                            &cursor,
+                            displaced,
+                            &quarantined,
+                            lvl,
+                        )?;
                     }
                     DfMsg::Gone(u) => {
                         // The worker died outside per-op containment:
                         // its whole in-flight batch is lost, but
                         // nothing of it was committed, so outputs are
-                        // pristine and the batch requeues by index.
+                        // pristine and the batch requeues by index —
+                        // unless it held a carried accumulator, whose
+                        // committed result went down with it.
                         in_flight[u] = false;
                         acct.record_fault(u, false);
                         let lvl = dispatched[u].first().map_or(0, |&i| sched.nodes()[i].level);
-                        if !policy.quarantine {
+                        if !policy.quarantine || dispatched[u].iter().any(|&i| carried_in[i]) {
                             return Err(TcuError::UnitFault { unit: u, wave: lvl });
                         }
                         quarantined[u] = true;
@@ -2019,12 +2100,115 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
         for h in handles {
             let _ = h.join();
         }
+        if run_result.is_err() {
+            // Settle what was still in flight when the run failed —
+            // finished ops commit, clean carried accumulators return to
+            // residence — then write every resident accumulator back,
+            // so the outputs hold exactly the committed ops' results.
+            for msg in result_rx.try_iter() {
+                if let DfMsg::Done(_, outcome) = msg {
+                    let UnitOutcome {
+                        done,
+                        terminal,
+                        leftover,
+                        ..
+                    } = *outcome;
+                    commit_done(plan, done, outputs, &mut resident, &mut pool);
+                    let dirty = matches!(terminal, Some(Terminal::Dead { dirty: true }));
+                    reclaim_leftover(leftover, dirty, carried_in, &mut resident, &mut pool);
+                }
+            }
+            for (j, acc) in resident.iter_mut().enumerate() {
+                if let Some(acc) = acc.take() {
+                    write_back(plan, j, outputs, &acc);
+                }
+            }
+        }
         run_result
     });
     if run_result.is_ok() {
+        debug_assert!(
+            resident.iter().all(Option::is_none),
+            "every carried chain ends in a write-back"
+        );
         acct.complete_wave(placement.makespan);
     }
     run_result
+}
+
+/// Retire a batch's finished ops in emission order: an op with a
+/// compiled carry parks its scratch in the successor's `resident` slot,
+/// every other op writes its scratch back into the bound output and
+/// recycles it. Returns `(written back, carried)`.
+fn commit_done<T: Scalar>(
+    plan: &ExecutablePlan,
+    mut done: Vec<(usize, Matrix<T>)>,
+    outputs: &mut [Option<MatrixViewMut<'_, T>>],
+    resident: &mut [Option<Matrix<T>>],
+    pool: &mut Vec<Matrix<T>>,
+) -> (u32, u32) {
+    done.sort_unstable_by_key(|(idx, _)| *idx);
+    let (mut written, mut carried) = (0, 0);
+    for (idx, scratch) in done {
+        match plan.carries().next[idx] {
+            NO_CARRY => {
+                write_back(plan, idx, outputs, &scratch);
+                pool.push(scratch);
+                written += 1;
+            }
+            j => {
+                resident[j as usize] = Some(scratch);
+                carried += 1;
+            }
+        }
+    }
+    (written, carried)
+}
+
+/// Copy `scratch` into op `idx`'s output rectangle.
+fn write_back<T: Scalar>(
+    plan: &ExecutablePlan,
+    idx: usize,
+    outputs: &mut [Option<MatrixViewMut<'_, T>>],
+    scratch: &Matrix<T>,
+) {
+    let cop = &plan.ops[idx];
+    outputs[cop.out_buf]
+        .as_mut()
+        .unwrap_or_else(|| unreachable!("output bound (validated up front)"))
+        .subview_mut(cop.out_r0, cop.out_c0, cop.out_rows, cop.out_cols)
+        .copy_from(scratch.view());
+}
+
+/// Settle a stopped batch's unexecuted items: clean carried
+/// accumulators return to their `resident` slots, every other scratch
+/// to the pool (the items rebuild at their next dispatch). Returns the
+/// items' op indices, and whether the in-flight item — dirty when
+/// `dirty`, i.e. a foreign panic may have written it — carried an
+/// accumulator, which is then lost.
+fn reclaim_leftover<T: Scalar>(
+    leftover: Vec<WaveItem<'_, T>>,
+    dirty: bool,
+    carried_in: &[bool],
+    resident: &mut [Option<Matrix<T>>],
+    pool: &mut Vec<Matrix<T>>,
+) -> (Vec<usize>, bool) {
+    let mut lost = false;
+    let idxs = leftover
+        .into_iter()
+        .enumerate()
+        .map(|(k, it)| {
+            if !carried_in[it.idx] {
+                pool.push(it.scratch);
+            } else if dirty && k == 0 {
+                lost = true;
+            } else {
+                resident[it.idx] = Some(it.scratch);
+            }
+            it.idx
+        })
+        .collect();
+    (idxs, lost)
 }
 
 /// The soundness precondition of concurrent wave execution: no two ops
