@@ -18,7 +18,7 @@
 //!   mismatched core counts skip the comparison entirely rather than
 //!   annotating noise.
 //! * `speedup_wall` — gated only for thread-parallel cases (those
-//!   emitted with `threads > 1`, i.e. `exp_sched`'s `parwave`
+//!   emitted with `threads > 1`, i.e. `exp_sched`'s `dataflow`
 //!   `run_parallel` cases), and like `speedup_parallel` only when core
 //!   counts match; otherwise an explicit "skipped (cores N vs M)" line
 //!   is printed instead of a silent skip. Serial cases' wall ratios
@@ -80,7 +80,7 @@ struct CaseSpeedup {
     /// Gated only for thread-parallel cases (`threads > 1`), and only
     /// when core counts match — serial wall ratios stay informational.
     speedup_wall: Option<f64>,
-    /// Worker threads the case ran with (`exp_sched`'s `parwave` cases
+    /// Worker threads the case ran with (`exp_sched`'s `dataflow` cases
     /// emit > 1; absent or 1 marks a serial case).
     threads: Option<f64>,
     plan_ms: Option<f64>,
@@ -288,9 +288,9 @@ fn main() -> ExitCode {
             }
             _ => {}
         }
-        // Thread-parallel cases (exp_sched's `parwave`): their wall
-        // ratio is the tentpole metric, gated exactly like any other
-        // when the runner matches the baseline's core count.
+        // Thread-parallel cases (exp_sched's `dataflow`): their wall
+        // ratio is gated exactly like any other when the runner
+        // matches the baseline's core count.
         match (f.speedup_wall, b.speedup_wall) {
             (Some(fw), Some(bw)) if f.is_parallel() || b.is_parallel() => {
                 if same_cores {

@@ -19,7 +19,7 @@
 //! Injected faults manifest as panics carrying an [`InjectedFault`]
 //! payload, raised *before* the wrapped executor touches the output —
 //! so a retried op sees its scratch destination exactly as seeded, and
-//! the wave driver (`tcu-sched`) contains the unwind per op with
+//! the parallel driver (`tcu-sched`) contains the unwind per op with
 //! `catch_unwind`. Non-injected panics (a real executor bug) are
 //! treated as permanent unit faults and recovered the same way, except
 //! the op's scratch is conservatively re-seeded before re-execution.
@@ -44,7 +44,7 @@ pub enum FaultKind {
     Permanent,
 }
 
-/// The panic payload of an injected fault. The wave driver downcasts
+/// The panic payload of an injected fault. The parallel driver downcasts
 /// caught unwinds to this type to tell injected faults (scratch left
 /// untouched, retry is safe) from real executor bugs (scratch state
 /// unknown, re-seed before re-execution).
@@ -293,7 +293,7 @@ pub fn assign_unit_ids<U: TensorUnit, E: Executor>(
     }
 }
 
-/// Bounds on the wave driver's recovery behaviour.
+/// Bounds on the parallel driver's recovery behaviour.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Total attempts per op on one unit (the first try plus retries).
@@ -316,7 +316,7 @@ impl Default for RecoveryPolicy {
 }
 
 /// Recovery counters of one [`ParallelTcuMachine`]: everything the
-/// fault-tolerant wave driver did that a fault-free run would not.
+/// fault-tolerant parallel driver did that a fault-free run would not.
 /// Deliberately *not* part of [`crate::Stats`] — the recovery contract
 /// is that a recoverable faulty run's `Stats` are byte-identical to the
 /// fault-free run's, so recovery accounting lives on its own surface.
@@ -368,7 +368,7 @@ impl std::fmt::Display for FaultStats {
 }
 
 /// Suppress the default panic-hook output for [`InjectedFault`] panics
-/// (they are expected and caught by the wave driver; letting each one
+/// (they are expected and caught by the parallel driver; letting each one
 /// print a backtrace banner buries real output). Any other panic still
 /// reaches the previously-installed hook. Installs once per process;
 /// chaos tests, the chaos example, and the fault benchmarks call this

@@ -1,5 +1,5 @@
-//! End-to-end telemetry demo: run the `parwave` workload (each wave
-//! holds `d/√m` independent column-block products) on a 4-unit
+//! End-to-end telemetry demo: run the blocked accumulation workload
+//! (`d/√m` column-block chains of `d/√m` products each) on a 4-unit
 //! parallel machine with an [`tcu_obs::ObsSink`] attached, print the
 //! plain-text run report, and write a Chrome-trace / Perfetto JSON
 //! timeline with one lane per unit plus a scheduler lane.
@@ -38,8 +38,8 @@ fn main() -> std::io::Result<()> {
     let a = workload(d, d, 5);
     let b = workload(d, d, 6);
 
-    // The parwave accumulation graph: wave k holds q independent
-    // column-block products, all accumulating into C.
+    // The blocked accumulation graph: q column-block chains of q
+    // products each, all accumulating into C.
     let mut g = OpGraph::new();
     let ab = g.buffer("A", d, d);
     let bb = g.buffer("B", d, d);
@@ -59,7 +59,7 @@ fn main() -> std::io::Result<()> {
     let plan = Scheduler::new().with_units(units).plan(&g, &unit);
 
     // Attach the sink through the execution environment; the driver
-    // forwards it to the machine, so driver spans (wave/stage/merge)
+    // forwards it to the machine, so driver spans (stage/merge/ready)
     // and per-unit op spans land in the same sink. When `TCU_TRACE_OUT`
     // is set, machines auto-attach the process-wide sink at
     // construction — reuse that one so there is a single timeline.
@@ -97,7 +97,7 @@ fn main() -> std::io::Result<()> {
     );
     println!(
         "dataflow: makespan {}, efficiency {:.3}, steals {}",
-        plan.dataflow_makespan(),
+        plan.dataflow_makespan_seeded(0),
         plan.dataflow_efficiency(),
         plan.dataflow_steals(),
     );
@@ -130,7 +130,7 @@ fn main() -> std::io::Result<()> {
     plan.try_run_dataflow_with(&mut df_mach, &mut env, RecoveryPolicy::default(), threaded)
         .unwrap_or_else(|e| panic!("{e}"));
     drop(env);
-    assert_eq!(c, c2, "dataflow bytes match the mode-routed run");
+    assert_eq!(c, c2, "threaded bytes match the default run");
 
     let df_report = df_sink.report(&meta);
     print!("{df_report}");

@@ -10,8 +10,8 @@
 //! across 4 units:
 //!
 //! 1. **Recovery is unobservable.** A seeded [`FaultPlan`] injects
-//!    transient drops and one permanently dead unit; the wave driver
-//!    retries, quarantines, and re-partitions — and the elements,
+//!    transient drops and one permanently dead unit; the parallel
+//!    driver retries, quarantines, and re-partitions — and the elements,
 //!    `Stats`, and trace digest come out byte-identical to the
 //!    fault-free run. Only `time()` (backoff + requeue makespan) and
 //!    [`FaultStats`] show that anything happened.

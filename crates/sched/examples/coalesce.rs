@@ -21,8 +21,10 @@
 //! 3. **Versioned pipeline on parallel units.** A second stage reading
 //!    the first stage's output is recorded into the *same* graph (the
 //!    RAW hazard orders the stages), planned once for 4 units, and
-//!    executed with `Schedule::run_parallel`: per-wave LPT placement,
-//!    per-unit pack caches, wall-clock = Σ wave makespans.
+//!    executed with `Schedule::run_parallel`: plan-time dataflow
+//!    placement (ops start as their hazard predecessors finish, no
+//!    per-wave barrier), per-unit pack caches, wall-clock = the
+//!    placement's simulated makespan (never above Σ wave makespans).
 
 use tcu_core::{ModelTensorUnit, ParallelTcuMachine, TcuMachine, TensorOp};
 use tcu_linalg::ops::matmul_naive;

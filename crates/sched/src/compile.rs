@@ -13,22 +13,22 @@
 //! shapes match, which is what lets `gauss`/`closure` compile a stage's
 //! schedule once and re-run it against rebound buffers per step.
 //!
-//! Three directive classes cover every binding pattern:
+//! Two directive classes cover the binding patterns staging must know
+//! about ahead of time:
 //!
 //! * **`serial_stages`** — reads of written buffers that some op reads
 //!   *while writing the same buffer*. Safe Rust cannot hold the output
 //!   binding mutably and read it at once, so the serial runtime
 //!   snapshots these (only these — every other read is zero-copy) right
 //!   before their first reader.
-//! * **`par_stages`** — every read of a written buffer. Wave workers
-//!   run while the main thread retains mutable access to the outputs,
-//!   so the parallel runtime snapshots each such region once, at the
-//!   wave of its first reader (the hazard order makes the bytes
-//!   identical wherever in that window the snapshot is taken).
 //! * **`cond_stages`** — reads of buffers the graph never writes.
 //!   Normally input-bound and zero-copy; if the caller bound one as an
 //!   output instead, the parallel runtime snapshots it once at run
 //!   start (its content cannot change during the run).
+//!
+//! Every other read of a written buffer the parallel runtime snapshots
+//! into its slot right before its first reader's dispatch: workers run
+//! while the main thread retains mutable access to the outputs.
 //!
 //! Beyond staging, compilation resolves the hazard structure the
 //! dataflow driver gates on (predecessor counts, successor lists). The
@@ -125,8 +125,6 @@ pub struct ExecutablePlan {
     pub(crate) ops: Vec<CompiledOp>,
     /// Written-buffer keys with a same-buffer reader, by `before_op`.
     pub(crate) serial_stages: Vec<StageDirective>,
-    /// Every written-buffer key, sorted by `before_op`.
-    pub(crate) par_stages: Vec<StageDirective>,
     /// Never-written-buffer keys (staged at run start if not
     /// input-bound; parallel runtime only).
     pub(crate) cond_stages: Vec<StageDirective>,
@@ -146,8 +144,8 @@ pub struct ExecutablePlan {
     /// `succs` offsets, length `ops + 1`.
     pub(crate) succ_off: Vec<u32>,
     /// Accumulator hand-offs, resolved on first use: only the threaded
-    /// dataflow driver reads them, so plans the serial, inline and wave
-    /// drivers run never pay for the pass.
+    /// dataflow executor reads them, so plans the serial and inline
+    /// executors run never pay for the pass.
     carries: OnceLock<Carries>,
 }
 
@@ -181,17 +179,11 @@ impl ExecutablePlan {
     }
 
     /// Distinct read keys (the snapshot arena's size). Most are never
-    /// materialized: only [`Self::staged_reads`] snapshot on the
-    /// parallel path, and strictly fewer on the serial path.
+    /// materialized: only written-buffer reads snapshot on the parallel
+    /// path, and strictly fewer on the serial path.
     #[must_use]
     pub fn read_slots(&self) -> usize {
         self.slots
-    }
-
-    /// Read keys the parallel runtime snapshots (written-buffer reads).
-    #[must_use]
-    pub fn staged_reads(&self) -> usize {
-        self.par_stages.len()
     }
 
     /// Read keys the serial runtime snapshots (same-buffer
@@ -354,7 +346,6 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
     }
 
     let mut serial_stages = Vec::new();
-    let mut par_stages = Vec::new();
     let mut cond_stages = Vec::new();
     for (slot, key) in keys.iter().enumerate() {
         let d = StageDirective {
@@ -366,13 +357,10 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
             slot: slot as u32,
             before_op: first_reader[slot],
         };
-        if written[d.buf] {
-            par_stages.push(d);
-            if same_buf[slot] {
-                serial_stages.push(d);
-            }
-        } else {
+        if !written[d.buf] {
             cond_stages.push(d);
+        } else if same_buf[slot] {
+            serial_stages.push(d);
         }
     }
     // A key with *any* same-buffer reader serves *all* its serial
@@ -411,7 +399,6 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
     Ok(ExecutablePlan {
         ops,
         serial_stages,
-        par_stages,
         cond_stages,
         slots: keys.len(),
         wave_ranges,
@@ -510,6 +497,7 @@ impl Schedule {
 
 #[cfg(test)]
 mod tests {
+    use crate::testing::pipeline_graph;
     use crate::{BufferId, OpGraph, OperandRef, Scheduler};
     use tcu_core::{ModelTensorUnit, TensorOp};
 
@@ -570,5 +558,41 @@ mod tests {
             }
         }
         assert_eq!(carries(&g, s), q * (q - 1) - 1);
+    }
+
+    /// The precondition the dataflow driver and `compute_carries` rely
+    /// on: every pair of compiled ops whose regions conflict (write
+    /// overlapping write, read or written-over read) is joined by a
+    /// *direct* hazard edge, not merely a path — commits may only
+    /// release an op once each conflicting predecessor has retired, and
+    /// the earliest toucher of an output must be among its successors.
+    #[test]
+    fn every_conflicting_pair_has_a_direct_hazard_edge() {
+        for (d, s, units) in [(16, 4, 1), (32, 8, 3), (32, 4, 2)] {
+            let (g, _) = pipeline_graph(d, s);
+            let unit = ModelTensorUnit::new(s * s, 0);
+            let sched = Scheduler::new().with_units(units).plan(&g, &unit);
+            let plan = sched.compiled().expect("compiles");
+            let mut pairs = 0;
+            for (i, x) in plan.ops.iter().enumerate() {
+                let out = x.out_region();
+                for (j, y) in plan.ops.iter().enumerate().skip(i + 1) {
+                    let conflict = out.overlaps(&y.out_region())
+                        || out.overlaps(&y.a.region())
+                        || out.overlaps(&y.b.region())
+                        || x.a.region().overlaps(&y.out_region())
+                        || x.b.region().overlaps(&y.out_region());
+                    if conflict {
+                        pairs += 1;
+                        assert!(
+                            plan.successors_of(i).contains(&(j as u32)),
+                            "ops {i} and {j} conflict without a direct edge \
+                             (d={d}, s={s}, units={units})"
+                        );
+                    }
+                }
+            }
+            assert!(pairs > 0, "the pipeline must exercise hazards");
+        }
     }
 }

@@ -3,13 +3,14 @@
 //! runtime can execute fixed per-unit op sequences and stay bit-for-bit
 //! deterministic no matter how threads interleave.
 //!
-//! The wave driver inserts a global barrier at every hazard level, so
-//! its makespan is the *sum of per-wave maxima* — a straggler idles
-//! every other unit for the rest of its wave. The dataflow placement
-//! replays the same cost model through an event-driven simulation
-//! instead: ops become ready as their hazard predecessors finish, the
-//! ready pool is drained in `(ready time, cost desc, emission index)`
-//! order, and each op runs on the unit that can start it earliest.
+//! A per-wave assignment with a global barrier at every hazard level
+//! costs the *sum of per-wave maxima* ([`Schedule::makespan`]) — a
+//! straggler idles every other unit for the rest of its wave. The
+//! dataflow placement replays the same cost model through an
+//! event-driven simulation instead: ops become ready as their hazard
+//! predecessors finish, the ready pool is drained in `(ready time,
+//! cost desc, emission index)` order, and each op runs on the unit
+//! that can start it earliest.
 //! Ties prefer the op's *home* — the unit the wave planner's LPT
 //! partition assigned its first invocation to — and otherwise follow a
 //! seeded permutation of the units; a non-home choice is a
@@ -24,8 +25,8 @@
 //! Greedy list scheduling can lose to per-wave LPT on adversarial
 //! graphs, so the placement falls back to the wave assignment (home
 //! units, emission order) whenever the simulated makespan exceeds the
-//! wave makespan — [`Schedule::dataflow_makespan`] therefore never
-//! exceeds [`Schedule::makespan`].
+//! wave makespan — [`Schedule::dataflow_makespan_seeded`] therefore
+//! never exceeds [`Schedule::makespan`].
 //!
 //! The placement is pure integer arithmetic over the plan — no clocks,
 //! no thread timing — so a given `(schedule, seed)` always yields the
@@ -38,34 +39,15 @@ use crate::scheduler::Schedule;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Which parallel driver [`Schedule::try_run_parallel`] routes to.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// The PR-6 wave driver: a global barrier per hazard level.
-    Wave,
-    /// The barrier-free dataflow driver (the default).
-    #[default]
-    Dataflow,
-}
-
-/// The driver selection for this process: `TCU_EXEC_MODE=wave` pins the
-/// legacy wave driver, anything else (including unset) selects
-/// dataflow. Read per run, so tests can toggle it.
-#[must_use]
-pub fn exec_mode() -> ExecMode {
-    match std::env::var("TCU_EXEC_MODE") {
-        Ok(v) if v.eq_ignore_ascii_case("wave") => ExecMode::Wave,
-        _ => ExecMode::Dataflow,
-    }
-}
-
 /// Knobs of the dataflow driver that do not affect results: the steal
 /// tie-break seed (any seed yields byte-identical elements, `Stats`,
 /// and digest — it only moves which unit runs what, hence per-unit
 /// cache counters and `time()`), and the inline/threaded choice (also
-/// unobservable in `time()` and cache counters, except for the
-/// threaded driver's timing-dependent recovery charges under
-/// *permanent* faults — see the `run` module docs).
+/// unobservable in `time()`, cache counters, and the fault trace,
+/// except for the threaded executor's timing-dependent recovery under
+/// *permanent* faults — see the `run` module docs). The default is
+/// what [`Schedule::try_run_parallel`] runs: seed 0, inline exactly on
+/// a one-core host.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DataflowTuning {
     /// Seed of the steal tie-break permutation (0 = lowest-index-first
@@ -79,22 +61,6 @@ pub struct DataflowTuning {
 }
 
 impl DataflowTuning {
-    /// Tuning from the environment: `TCU_STEAL_SEED` (integer, default
-    /// 0) and `TCU_DF_INLINE` (`1`/`0`, default auto).
-    #[must_use]
-    pub fn from_env() -> Self {
-        let steal_seed = std::env::var("TCU_STEAL_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let inline = match std::env::var("TCU_DF_INLINE").as_deref() {
-            Ok("1") => Some(true),
-            Ok("0") => Some(false),
-            _ => None,
-        };
-        Self { steal_seed, inline }
-    }
-
     /// Resolve the inline/threaded choice.
     #[must_use]
     pub fn use_inline(&self) -> bool {
@@ -156,8 +122,7 @@ fn steal_permutation(units: usize, seed: u64) -> Vec<usize> {
     perm
 }
 
-/// Each op's home unit: the wave-LPT unit of its first invocation —
-/// exactly the unit the wave driver would run it on.
+/// Each op's home unit: the wave-LPT unit of its first invocation.
 fn home_units(sched: &Schedule, plan: &ExecutablePlan) -> Vec<u32> {
     let mut home = vec![0u32; sched.ops()];
     for (wave, &(wstart, wend)) in plan.wave_ranges.iter().enumerate() {
@@ -233,8 +198,8 @@ pub(crate) fn place_dataflow(
     if makespan > sched.makespan() {
         // The barrier-free greedy lost to per-wave LPT (possible on
         // adversarial graphs): keep the wave placement, whose emission
-        // order is trivially hazard-safe and whose makespan the wave
-        // driver already achieves.
+        // order is trivially hazard-safe and whose makespan is the
+        // per-wave sum.
         let mut unit_order: Vec<Vec<u32>> = vec![Vec::new(); units];
         for (i, &h) in home.iter().enumerate() {
             unit_order[h as usize].push(i as u32);
@@ -266,19 +231,12 @@ pub(crate) fn place_dataflow(
 }
 
 impl Schedule {
-    /// The simulated makespan of the dataflow driver under the
-    /// environment's steal seed (`TCU_STEAL_SEED`, default 0): what a
-    /// dataflow run charges into `time()` as its tensor wall-clock.
-    /// Never exceeds [`Schedule::makespan`] — the placement falls back
-    /// to the wave assignment when the barrier-free simulation loses —
-    /// and never undercuts
+    /// The simulated makespan of the dataflow driver under `steal_seed`:
+    /// what a run with that seed charges into `time()` as its tensor
+    /// wall-clock. Never exceeds [`Schedule::makespan`] — the placement
+    /// falls back to the wave assignment when the barrier-free
+    /// simulation loses — and never undercuts
     /// `max(critical_path, ⌈tensor_time / units⌉)`.
-    #[must_use]
-    pub fn dataflow_makespan(&self) -> u64 {
-        self.dataflow_makespan_seeded(DataflowTuning::from_env().steal_seed)
-    }
-
-    /// [`Schedule::dataflow_makespan`] under an explicit steal seed.
     #[must_use]
     pub fn dataflow_makespan_seeded(&self, steal_seed: u64) -> u64 {
         match self.compiled() {
@@ -287,37 +245,36 @@ impl Schedule {
         }
     }
 
-    /// Deterministic steals in the dataflow placement under the
-    /// environment's steal seed: ops the simulation moved off their
-    /// wave-LPT home unit.
+    /// Deterministic steals in the default (seed 0) dataflow placement:
+    /// ops the simulation moved off their wave-LPT home unit.
     #[must_use]
     pub fn dataflow_steals(&self) -> u64 {
         match self.compiled() {
-            Ok(plan) => place_dataflow(self, plan, DataflowTuning::from_env().steal_seed).steals,
+            Ok(plan) => place_dataflow(self, plan, 0).steals,
             Err(_) => 0,
         }
     }
 
-    /// Whether the dataflow placement fell back to the wave assignment
-    /// because the barrier-free simulation did not beat the wave
-    /// makespan (rare; the fallback keeps
-    /// `dataflow_makespan ≤ makespan` unconditional).
+    /// Whether the default (seed 0) dataflow placement fell back to the
+    /// wave assignment because the barrier-free simulation did not beat
+    /// the wave makespan (rare; the fallback keeps
+    /// `dataflow_makespan_seeded ≤ makespan` unconditional).
     #[must_use]
     pub fn dataflow_fallback(&self) -> bool {
         match self.compiled() {
-            Ok(plan) => place_dataflow(self, plan, DataflowTuning::from_env().steal_seed).fallback,
+            Ok(plan) => place_dataflow(self, plan, 0).fallback,
             Err(_) => true,
         }
     }
 
     /// [`Schedule::sched_efficiency`] for the dataflow driver:
-    /// `lower_bound / dataflow_makespan`. At least the wave efficiency
+    /// `lower_bound / dataflow_makespan_seeded(0)`. At least the wave efficiency
     /// (the dataflow makespan never exceeds the wave makespan), and
     /// `1.0` means the barrier-free schedule is provably optimal for
     /// the cost model.
     #[must_use]
     pub fn dataflow_efficiency(&self) -> f64 {
-        let df = self.dataflow_makespan();
+        let df = self.dataflow_makespan_seeded(0);
         if df == 0 {
             return 1.0;
         }
@@ -328,55 +285,27 @@ impl Schedule {
     }
 
     /// The simulated tensor wall-clock [`Schedule::try_run_parallel`]
-    /// will charge under the *current* [`exec_mode`]:
-    /// [`Schedule::makespan`] for the wave driver,
-    /// [`Schedule::dataflow_makespan`] for the dataflow driver. What
-    /// mode-agnostic tests compare `time()` against.
+    /// charges on a fault-free run: the default (seed 0) placement's
+    /// [`Schedule::dataflow_makespan_seeded`].
     #[must_use]
     pub fn planned_parallel_time(&self) -> u64 {
-        match exec_mode() {
-            ExecMode::Wave => self.makespan(),
-            ExecMode::Dataflow => self.dataflow_makespan(),
-        }
+        self.dataflow_makespan_seeded(0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::pipeline_graph;
     use crate::{OpGraph, OperandRef, Scheduler};
     use tcu_core::TensorOp;
-
-    /// A two-stage RAW pipeline whose waves are wide enough to place.
-    fn pipeline(d: usize, s: usize) -> OpGraph {
-        let mut g = OpGraph::new();
-        let ab = g.buffer("A", d, d);
-        let bb = g.buffer("B", d, d);
-        let mb = g.buffer("M", d, d);
-        let cb = g.buffer("C", d, d);
-        let q = d / s;
-        for (src, dst) in [(ab, mb), (mb, cb)] {
-            for j in 0..q {
-                for k in 0..q {
-                    g.record(
-                        TensorOp {
-                            accumulate: true,
-                            ..TensorOp::padded(d, s, s)
-                        },
-                        OperandRef::new(src, 0, k * s, d, s),
-                        OperandRef::new(bb, k * s, j * s, s, s),
-                        OperandRef::new(dst, 0, j * s, d, s),
-                    );
-                }
-            }
-        }
-        g
-    }
 
     #[test]
     fn placement_is_deterministic_and_bounded() {
         let unit = tcu_core::ModelTensorUnit::new(64, 13);
-        let plan = Scheduler::new().with_units(4).plan(&pipeline(32, 8), &unit);
+        let plan = Scheduler::new()
+            .with_units(4)
+            .plan(&pipeline_graph(32, 8).0, &unit);
         let compiled = plan.compiled().expect("compiles");
         let p1 = place_dataflow(&plan, compiled, 7);
         let p2 = place_dataflow(&plan, compiled, 7);
@@ -393,7 +322,9 @@ mod tests {
     #[test]
     fn global_order_respects_every_hazard_edge() {
         let unit = tcu_core::ModelTensorUnit::new(64, 13);
-        let plan = Scheduler::new().with_units(3).plan(&pipeline(32, 8), &unit);
+        let plan = Scheduler::new()
+            .with_units(3)
+            .plan(&pipeline_graph(32, 8).0, &unit);
         let compiled = plan.compiled().expect("compiles");
         for seed in [0u64, 1, 0xDEAD_BEEF] {
             let p = place_dataflow(&plan, compiled, seed);

@@ -51,7 +51,42 @@ pub mod run;
 pub mod scheduler;
 
 pub use compile::ExecutablePlan;
-pub use dataflow::{exec_mode, DataflowTuning, ExecMode};
+pub use dataflow::DataflowTuning;
 pub use graph::{BufferId, Node, OpGraph, OperandRef};
 pub use run::ExecEnv;
 pub use scheduler::{Schedule, ScheduledNode, Scheduler};
+
+/// Graph generators shared by the unit tests of several modules.
+#[cfg(test)]
+pub(crate) mod testing {
+    use crate::{BufferId, OpGraph, OperandRef};
+    use tcu_core::TensorOp;
+
+    /// A two-stage RAW pipeline in one graph: M += A·B, then C += M·B,
+    /// as `(d/s)²` accumulating `d × s` column-block ops per stage.
+    /// Buffers come back as `[A, B, M, C]`.
+    pub(crate) fn pipeline_graph(d: usize, s: usize) -> (OpGraph, [BufferId; 4]) {
+        let mut g = OpGraph::new();
+        let ab = g.buffer("A", d, d);
+        let bb = g.buffer("B", d, d);
+        let mb = g.buffer("M", d, d);
+        let cb = g.buffer("C", d, d);
+        let q = d / s;
+        for (src, dst) in [(ab, mb), (mb, cb)] {
+            for j in 0..q {
+                for k in 0..q {
+                    g.record(
+                        TensorOp {
+                            accumulate: true,
+                            ..TensorOp::padded(d, s, s)
+                        },
+                        OperandRef::new(src, 0, k * s, d, s),
+                        OperandRef::new(bb, k * s, j * s, s, s),
+                        OperandRef::new(dst, 0, j * s, d, s),
+                    );
+                }
+            }
+        }
+        (g, [ab, bb, mb, cb])
+    }
+}

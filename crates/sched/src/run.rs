@@ -7,9 +7,9 @@
 //! buffers it writes. Execution itself runs off the schedule's compiled
 //! form (see [`crate::compile`]): the first run lowers the schedule
 //! into an [`crate::ExecutablePlan`] whose ops carry concrete buffer
-//! offsets, precomputed staging directives, and flattened wave ranges,
-//! so the per-op hot loop does no hash lookups, no environment scans,
-//! and no staging decisions — it indexes dense arrays. Each left
+//! offsets, precomputed staging directives, and the hazard graph, so
+//! the per-op hot loop does no hash lookups, no environment scans, and
+//! no staging decisions — it indexes dense arrays. Each left
 //! operand is tagged with an [`OperandId`] whose generation combines a
 //! process-unique stamp (the environment's *epoch* for frozen
 //! input-bound reads, a fresh per-run stamp for reads of written
@@ -35,8 +35,9 @@
 //! the eager blocked algorithms perform — every cross-buffer read is
 //! zero-copy); on the parallel path, every written-buffer read (worker
 //! threads cannot borrow the outputs the main thread retains mutable
-//! access to). Which reads snapshot, and before which op, is decided at
-//! compile time; the run-time arena just fills the precomputed slots.
+//! access to), snapshotted right before its first reader's dispatch.
+//! Which reads the serial path snapshots, and before which op, is
+//! decided at compile time; the run-time arena just fills the slots.
 //! (Simulated cost is untouched either way: in the model, operand
 //! marshalling is covered by the invocation charge.)
 //!
@@ -47,39 +48,22 @@
 //!
 //! # Multi-unit execution
 //!
-//! [`Schedule::run_parallel`] routes to one of two drivers (selected
-//! by [`crate::exec_mode`], dataflow by default). The **wave** driver
-//! ([`Schedule::run_wave`]) consumes [`Schedule::wave_partitions`]
-//! directly: every wave's invocations are issued on the units the
-//! planner's LPT partition assigned them to (each unit owning its own
-//! executor, hence its own pack cache), on a pool of worker threads
-//! spawned **once per run** — each unit's worker holds its executor for
-//! the whole run and receives per-round batches over a channel, instead
-//! of a fresh `thread::scope` per wave. Per-op scratch comes from a
-//! main-thread recycling pool (re-zeroed or re-seeded per op, so the
-//! numerics are exactly a fresh allocation's). Numerics still execute
-//! in the schedule's canonical serial order — waves hold only
-//! independent ops, so this equals any true interleaving — which keeps
-//! multi-unit runs bit-identical to serial runs and to each other for
-//! every unit count.
-//!
-//! # Barrier-free dataflow execution
-//!
-//! The **dataflow** driver ([`Schedule::run_dataflow`]) removes the
-//! per-wave barrier: instead of stalling every unit at each hazard
-//! level, ops dispatch as soon as their hazard predecessors' results
-//! have been committed. All scheduling decisions are resolved *at plan
-//! time* by [`crate::dataflow`]'s deterministic placement simulation
-//! (which unit runs each op, in what per-unit order, and with which
-//! deterministic steals), so the runtime is a pure executor of fixed
-//! per-unit sequences and the results cannot depend on thread timing:
+//! [`Schedule::run_parallel`] runs the barrier-free **dataflow**
+//! driver: ops dispatch as soon as their hazard predecessors' results
+//! have been committed, with no barrier between hazard levels. All
+//! scheduling decisions are resolved *at plan time* by
+//! [`crate::dataflow`]'s deterministic placement simulation (which unit
+//! runs each op, in what per-unit order, and with which deterministic
+//! steals), so the runtime is a pure executor of fixed per-unit
+//! sequences and the results cannot depend on thread timing:
 //!
 //! * **accounting** — every op is charged on the main thread, up
 //!   front, in emission order (after validating all bindings), so
 //!   `Stats` and the trace digest are byte-identical to the serial
 //!   run's; wall-clock advances once, by the placement's simulated
-//!   makespan, so `time()` lands on [`Schedule::dataflow_makespan`]
-//!   (never above [`Schedule::makespan`]);
+//!   makespan, so `time()` lands on
+//!   [`Schedule::dataflow_makespan_seeded`] (never above
+//!   [`Schedule::makespan`], the sum of per-level LPT makespans);
 //! * **numerics** — workers execute into per-op scratch; the main
 //!   thread commits finished scratches and only then releases hazard
 //!   successors, so overlapping writes retire in hazard (emission)
@@ -89,40 +73,21 @@
 //!   ([`crate::ExecutablePlan::carried_ops`] — the next op touching an
 //!   output rectangle accumulates into exactly that rectangle), the
 //!   commit hands the scratch to that op as its pre-seeded destination
-//!   instead of copying it back, so the threaded driver's main thread
+//!   instead of copying it back, so the threaded executor's main thread
 //!   copies one strip per chain, not a seed and a merge per op. The
 //!   hand-off holds bytes identical to what the host rectangle would
 //!   hold, and nothing reads or writes the rectangle in between;
+//! * **pack-cache counters** are per unit, and each unit consumes its
+//!   fixed op sequence in order, so every unit's executor sees the
+//!   same op subsequence on every run;
 //! * **dispatch overhead** — each idle unit receives its entire ready
 //!   prefix as *one* channel message, and written-buffer reads are
 //!   snapshotted incrementally, right before their first reader's
-//!   dispatch, instead of per wave. On a single-core host (or under
-//!   `TCU_DF_INLINE=1`) an inline executor skips workers, channels,
-//!   and scratch entirely and replays the placement's global order
-//!   serial-style — same bytes, same per-unit cache counters, no
-//!   dispatch overhead.
-//!
-//! Fault recovery matches the wave driver (retry with backoff,
-//! quarantine + LPT re-partition of the dead unit's queued and stolen
-//! work onto survivors, preserving the per-unit queues' start-order
-//! invariant so progress is never deadlocked) with two documented
-//! deviations: charges are recorded up front, so a run that *fails*
-//! still carries the full schedule's `Stats`; and a *foreign*
-//! (non-injected) panic fails the run with [`TcuError::UnitFault`]
-//! wherever the faulting op's destination held the only copy of
-//! committed work — every op under the inline executor (it writes in
-//! place), and carried ops under the threaded one (the torn scratch
-//! was the chain's accumulator). The threaded driver's other ops keep
-//! scratch-based recovery: they rebuild from the untouched outputs and
-//! requeue, and so does a dead worker's lost batch unless it held a
-//! carried accumulator. When the threaded driver fails, it writes
-//! every clean accumulator it still holds back into the outputs, so
-//! they hold exactly the committed ops' results; a chain whose
-//! accumulator was torn keeps its bytes from before the chain. Under
-//! permanent faults the threaded driver's recovery charges and
-//! per-unit cache counters may vary with thread timing (the committed
-//! frontier at quarantine time is physical); elements, `Stats`, and
-//! the digest stay byte-identical regardless.
+//!   dispatch. On a single-core host an inline executor skips workers,
+//!   channels, and scratch entirely and replays the placement's global
+//!   order serial-style — same bytes, same per-unit cache counters, no
+//!   dispatch overhead ([`DataflowTuning::inline`] forces either
+//!   executor).
 //!
 //! # Fault tolerance
 //!
@@ -131,29 +96,51 @@
 //! contract violations come back as values; the legacy `bind_*`/`run*`
 //! names are thin wrappers that panic with the error's `Display`
 //! (preserving every historical panic message). On top of that,
-//! [`Schedule::try_run_parallel`] *recovers* from unit faults: each
-//! worker contains per-op panics with `catch_unwind`, transient faults
+//! [`Schedule::try_run_parallel`] *recovers* from unit faults: every
+//! per-op execution is contained with `catch_unwind`, transient faults
 //! (an [`InjectedFault`] payload, as injected by
 //! [`tcu_core::FaultyExecutor`]) are retried in place with simulated
 //! backoff charged into wall-clock, and permanently failing units are
-//! quarantined — for the rest of the *run*, not just the wave — with
-//! their unexecuted items re-partitioned onto the survivors via
-//! [`partition_lpt`]. Recovery is unobservable in results by
-//! construction: per-op `Stats`/trace charges happen on the main thread
-//! before numerics, faulted ops re-execute against intact (or
-//! re-seeded) scratch, and fault/retry/quarantine trace annotations are
+//! quarantined for the rest of the run, with their unexecuted ops
+//! re-partitioned onto the survivors via [`partition_lpt`] (preserving
+//! the per-unit queues' start-order invariant, so progress is never
+//! deadlocked). Recovery is unobservable in results by construction:
+//! per-op `Stats`/trace charges happen on the main thread before
+//! numerics, faulted ops re-execute against intact (or rebuilt)
+//! destinations, and fault/retry/quarantine trace annotations are
 //! excluded from the digest — so a recoverable faulty run's elements,
 //! `Stats`, and digest are byte-identical to the fault-free run's, with
 //! only `time()` (backoff + requeue makespans) and
-//! [`tcu_core::FaultStats`] recording that recovery happened. A
-//! non-[`InjectedFault`] worker panic (a real executor bug) is treated
-//! as a permanent unit fault whose in-flight scratch is conservatively
-//! rebuilt from the environment before requeueing; a worker that dies
-//! outside per-op containment (its channel disconnects) is recovered
-//! the same way, with its whole round rebuilt.
+//! [`tcu_core::FaultStats`] recording that recovery happened. The
+//! annotations themselves are recorded in placement order (the
+//! threaded executor buffers them and records them when the run ends,
+//! `Err` included), so under transient faults both executors write the
+//! same fault trace on every run.
+//!
+//! Charges are recorded up front, so a run that *fails* still carries
+//! the full schedule's `Stats`. A *foreign* (non-[`InjectedFault`])
+//! panic — a real executor bug — fails the run with
+//! [`TcuError::UnitFault`] wherever the faulting op's destination held
+//! the only copy of committed work: every op under the inline executor
+//! (it writes in place), and carried ops under the threaded one (the
+//! torn scratch was the chain's accumulator). The threaded executor's
+//! other ops rebuild from the untouched outputs and requeue, and so
+//! does a dead worker's lost batch unless it held a carried
+//! accumulator. When the threaded executor fails, it writes every clean
+//! accumulator it still holds back into the outputs, so they hold
+//! exactly the committed ops' results; a chain whose accumulator was
+//! torn keeps its bytes from before the chain.
+//!
+//! One gap remains: under *permanent* faults the threaded executor's
+//! recovery charges, fault trace, and per-unit cache counters may vary
+//! with thread timing, because a survivor can run past the faulting
+//! op's placement position before the fault surfaces, so the requeue
+//! point is physical. Elements, `Stats`, the digest, and the identity
+//! `time() = makespan + backoff + recovery` hold regardless; the inline
+//! executor is the deterministic reference.
 
 use crate::compile::{CompiledOp, CompiledRead, ExecutablePlan, NO_CARRY};
-use crate::dataflow::{exec_mode, place_dataflow, DataflowPlacement, DataflowTuning, ExecMode};
+use crate::dataflow::{place_dataflow, DataflowPlacement, DataflowTuning};
 use crate::graph::BufferId;
 use crate::scheduler::Schedule;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -205,7 +192,7 @@ impl<'a, T: Scalar> ExecEnv<'a, T> {
     /// Attach an execution-telemetry recorder to this environment's
     /// runs: the driver forwards it to the machine (per-op execute
     /// spans, pack-cache traffic, fault annotations) and emits its own
-    /// wave/stage/merge spans through it. Purely observational —
+    /// stage/merge/dispatch spans through it. Purely observational —
     /// results, `Stats`, traces, and simulated time are unchanged.
     pub fn enable_recorder(&mut self, recorder: std::sync::Arc<dyn tcu_obs::Recorder>) {
         self.recorder = Some(recorder);
@@ -393,7 +380,7 @@ impl Schedule {
     /// outputs hold whatever the already-issued prefix of the stream
     /// wrote (an error aborts mid-stream, it does not roll back). Fault
     /// *recovery* (retry, quarantine) is a property of the parallel
-    /// wave driver — see [`Schedule::try_run_parallel`]; the serial
+    /// driver — see [`Schedule::try_run_parallel`]; the serial
     /// path has no worker threads to contain, so an executor panic here
     /// propagates.
     pub fn try_run<T: Scalar, U: TensorUnit, E: Executor>(
@@ -477,14 +464,11 @@ impl Schedule {
     }
 
     /// Execute the planned stream *across the units* of a parallel
-    /// machine, routing to the driver [`crate::exec_mode`] selects: the
-    /// barrier-free dataflow driver ([`Schedule::run_dataflow`]) by
-    /// default, the per-wave driver ([`Schedule::run_wave`]) under
-    /// `TCU_EXEC_MODE=wave`. Both drivers produce elements, `Stats`,
-    /// and trace digests byte-identical to the serial [`Schedule::run`]
-    /// for every unit count; they differ only in host-thread structure
-    /// and in the simulated wall-clock they charge
-    /// ([`Schedule::planned_parallel_time`]).
+    /// machine on the barrier-free dataflow driver (see the
+    /// [module docs](self)): elements, `Stats`, and trace digests are
+    /// byte-identical to the serial [`Schedule::run`] for every unit
+    /// count; only host-thread structure and the simulated wall-clock
+    /// ([`Schedule::planned_parallel_time`]) differ.
     ///
     /// # Panics
     /// Panics if the machine's `√m` or unit count differs from what the
@@ -513,500 +497,17 @@ impl Schedule {
         self.try_run_parallel_with(mach, env, RecoveryPolicy::default())
     }
 
-    /// The fault-tolerant parallel entry point: routes to
-    /// [`Schedule::try_run_wave_with`] or
-    /// [`Schedule::try_run_dataflow_with`] per [`crate::exec_mode`],
-    /// with dataflow tuning read from the environment
-    /// ([`DataflowTuning::from_env`]).
+    /// The fault-tolerant parallel entry point under `policy`:
+    /// [`Schedule::try_run_dataflow_with`] with the default
+    /// [`DataflowTuning`] (steal seed 0, inline exactly on a one-core
+    /// host).
     pub fn try_run_parallel_with<T: Scalar, U: TensorUnit, E: Executor>(
         &self,
         mach: &mut ParallelTcuMachine<U, E>,
         env: &mut ExecEnv<'_, T>,
         policy: RecoveryPolicy,
     ) -> Result<(), TcuError> {
-        match exec_mode() {
-            ExecMode::Wave => self.try_run_wave_with(mach, env, policy),
-            ExecMode::Dataflow => {
-                self.try_run_dataflow_with(mach, env, policy, DataflowTuning::from_env())
-            }
-        }
-    }
-
-    /// The per-wave-barrier parallel driver, pinned regardless of
-    /// [`crate::exec_mode`]: every wave's invocations are issued on the
-    /// units the planner's LPT partition assigned them to, and a global
-    /// barrier separates waves. Panicking wrapper over
-    /// [`Schedule::try_run_wave`].
-    ///
-    /// # Panics
-    /// As [`Schedule::run_parallel`].
-    pub fn run_wave<T: Scalar, U: TensorUnit, E: Executor>(
-        &self,
-        mach: &mut ParallelTcuMachine<U, E>,
-        env: &mut ExecEnv<'_, T>,
-    ) {
-        self.try_run_wave(mach, env)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`Schedule::run_wave`] with fault recovery under the default
-    /// [`RecoveryPolicy`], returning errors instead of panicking.
-    pub fn try_run_wave<T: Scalar, U: TensorUnit, E: Executor>(
-        &self,
-        mach: &mut ParallelTcuMachine<U, E>,
-        env: &mut ExecEnv<'_, T>,
-    ) -> Result<(), TcuError> {
-        self.try_run_wave_with(mach, env, RecoveryPolicy::default())
-    }
-
-    /// The fault-tolerant wave driver: one persistent worker per unit,
-    /// per-wave dispatch with a global barrier between hazard levels,
-    /// plus containment and recovery of worker faults under `policy`.
-    /// Concurrency is safe by construction — ops sharing a wave never
-    /// overlap in any written region, which a debug assertion
-    /// re-verifies per wave — and deterministic by design:
-    ///
-    /// * **accounting** (per-op `Stats` charges and trace events) is
-    ///   recorded on the main thread in the schedule's canonical order
-    ///   *before* the wave's numerics run, exactly as a serial scheduled
-    ///   run charges them; wall-clock advances by one makespan per wave,
-    ///   so `mach.time()` lands on [`Schedule::makespan`] (plus scalar
-    ///   work);
-    /// * **numerics** land in per-op scratch buffers — pre-seeded with
-    ///   the destination bytes for accumulating ops, so the kernel
-    ///   performs the identical arithmetic on identical values — and the
-    ///   main thread merges the disjoint results back in canonical
-    ///   order, making elements bit-identical to [`Schedule::run`] for
-    ///   every unit count;
-    /// * **pack-cache counters** are per unit, and each worker consumes
-    ///   its ops in canonical order, so every unit's executor sees the
-    ///   exact op subsequence a serial placement-following run would —
-    ///   cache stats cannot depend on thread interleaving.
-    ///
-    /// Every per-op panic on a worker is caught. An [`InjectedFault`]
-    /// payload marked transient is retried on the same unit (bounded by
-    /// `policy.max_attempts`, each retry charging simulated backoff
-    /// into wall-clock); one marked permanent — or any *other* panic
-    /// payload, i.e. a real executor bug — kills the unit: with
-    /// `policy.quarantine` the unit is retired for the rest of the run
-    /// and its unexecuted items are re-partitioned onto the survivors
-    /// (charging the requeued batch's LPT makespan), without it the run
-    /// fails with [`TcuError::UnitFault`]. A run out of retries fails
-    /// with [`TcuError::RetriesExhausted`]; losing every unit with work
-    /// still pending fails with [`TcuError::AllUnitsQuarantined`].
-    ///
-    /// For every *recoverable* fault schedule the recovery contract
-    /// holds: output elements, `Stats`, and the trace digest are
-    /// byte-identical to the fault-free run, with the recovery story
-    /// visible only in `time()`, [`tcu_core::FaultStats`], and the
-    /// digest-exempt fault/retry/quarantine trace annotations. On
-    /// `Err`, outputs hold the completed waves' results only — the
-    /// failing wave's scratches are discarded, never half-merged.
-    pub fn try_run_wave_with<T: Scalar, U: TensorUnit, E: Executor>(
-        &self,
-        mach: &mut ParallelTcuMachine<U, E>,
-        env: &mut ExecEnv<'_, T>,
-        policy: RecoveryPolicy,
-    ) -> Result<(), TcuError> {
-        if mach.sqrt_m() != self.sqrt_m {
-            return Err(TcuError::PlanMismatch {
-                what: "schedule was planned for a different tensor-unit size",
-            });
-        }
-        if mach.units() != self.units() {
-            return Err(TcuError::PlanMismatch {
-                what: "schedule was planned for a different unit count",
-            });
-        }
-        if env.shapes != self.buffer_shapes {
-            return Err(TcuError::PlanMismatch {
-                what: "environment built for a different graph (buffer shapes disagree)",
-            });
-        }
-        let plan = self.compiled()?;
-        // Telemetry: the environment's recorder (if the machine has
-        // none of its own) is attached to the machine first, so worker
-        // executors emit pack-cache traffic and the wave accountant
-        // emits fault annotations through it. One handle then serves
-        // the driver's own wave/stage/merge spans.
-        if let (Some(rec), None) = (env.recorder.clone(), mach.recorder_handle()) {
-            mach.enable_recorder(rec);
-        }
-        let recorder = mach.recorder_handle();
-        let stamps = tag_stamps(env);
-        let units = mach.units();
-        let max_attempts = policy.max_attempts.max(1);
-
-        // The run-local snapshot arena: one slot per compiled read key,
-        // filled at most once per run (`OnceLock`, so the main thread
-        // can keep staging while workers hold shared borrows). Reads of
-        // never-written buffers are staged up front when not input-
-        // bound — their content cannot change during the run.
-        let arena: Vec<OnceLock<Matrix<T>>> = (0..plan.slots).map(|_| OnceLock::new()).collect();
-        for d in &plan.cond_stages {
-            if env.inputs[d.buf].is_some() {
-                continue;
-            }
-            let snap = env.outputs[d.buf]
-                .as_ref()
-                .ok_or(TcuError::Unbound {
-                    buffer: d.buf,
-                    written: false,
-                })?
-                .as_view()
-                .subview(d.r0, d.c0, d.rows, d.cols)
-                .to_matrix();
-            let _ = arena[d.slot as usize].set(snap);
-        }
-
-        // Borrow split for the run: workers see the arena and the
-        // frozen inputs; the main thread keeps the outputs (staging
-        // sources, accumulate seeds, merges) and the machine's
-        // accounting half, while each worker owns one unit's executor.
-        let arena = &arena;
-        let inputs = &env.inputs;
-        let outputs = &mut env.outputs;
-        let (mut acct, execs) = mach.wave_parts();
-        // Quarantine outlives the wave: a unit that failed permanently
-        // stays retired for the remainder of this run.
-        let mut quarantined = vec![false; units];
-        let mut pool: Vec<Matrix<T>> = Vec::new();
-
-        std::thread::scope(|scope| {
-            // One persistent worker per unit for the whole run: tasks
-            // arrive as (items, max_attempts) rounds, outcomes return on
-            // the paired channel. A worker exits when the task sender
-            // drops (normal shutdown) or its outcome can no longer be
-            // delivered.
-            let mut task_tx = Vec::with_capacity(units);
-            let mut result_rx = Vec::with_capacity(units);
-            let mut handles = Vec::with_capacity(units);
-            for (u, exec) in execs.iter_mut().enumerate() {
-                let (ttx, trx) = std::sync::mpsc::channel();
-                let (rtx, rrx) = std::sync::mpsc::channel();
-                let rec = recorder.clone();
-                handles.push(scope.spawn(move || {
-                    while let Ok((items, max)) = trx.recv() {
-                        let outcome =
-                            run_items_contained(exec, items, max, rec.as_deref(), u as u32);
-                        if rtx.send(outcome).is_err() {
-                            break;
-                        }
-                    }
-                }));
-                task_tx.push(ttx);
-                result_rx.push(rrx);
-            }
-
-            let run_result = (|| -> Result<(), TcuError> {
-                let mut next_stage = 0usize;
-                for (wave, &(wstart, wend)) in plan.wave_ranges.iter().enumerate() {
-                    let rec = recorder.as_deref();
-                    let wave_t0 = rec.map(tcu_obs::Recorder::now_ns);
-                    let wave_nodes = &self.nodes()[wstart..wend];
-                    if cfg!(debug_assertions) {
-                        assert_wave_outputs_disjoint(wave_nodes);
-                    }
-                    // Staging pass: snapshot every written-buffer read
-                    // first consumed in this wave before anything
-                    // executes (the hazard order makes this byte-equal
-                    // to per-op lazy staging: a region's bytes are
-                    // frozen between its last `gen` write and its last
-                    // `gen` reader).
-                    let stage_t0 = rec.map(tcu_obs::Recorder::now_ns);
-                    let mut staged = 0u32;
-                    while next_stage < plan.par_stages.len()
-                        && (plan.par_stages[next_stage].before_op as usize) < wend
-                    {
-                        let d = plan.par_stages[next_stage];
-                        let snap = outputs[d.buf]
-                            .as_ref()
-                            .ok_or(TcuError::Unbound {
-                                buffer: d.buf,
-                                written: false,
-                            })?
-                            .as_view()
-                            .subview(d.r0, d.c0, d.rows, d.cols)
-                            .to_matrix();
-                        let _ = arena[d.slot as usize].set(snap);
-                        staged += 1;
-                        next_stage += 1;
-                    }
-                    emit_span(
-                        rec,
-                        tcu_obs::Lane::Scheduler,
-                        stage_t0,
-                        tcu_obs::EventKind::Stage { copies: staged },
-                    );
-
-                    // Charging + assembly pass, in canonical order:
-                    // meter each op, resolve its operand views and
-                    // cache tag, and build its work item on the unit
-                    // the planner assigned its first invocation to.
-                    // Items bound for already-quarantined units are
-                    // displaced and re-partitioned onto the survivors
-                    // below. Charges always happen here, on the main
-                    // thread, in canonical order — faults can delay
-                    // numerics, never reorder accounting.
-                    let s = acct.sqrt_m();
-                    let tall = acct.unit().supports_tall();
-                    let partition = &self.wave_partitions()[wave];
-                    let mut pending: Vec<Vec<WaveItem<'_, T>>> =
-                        (0..units).map(|_| Vec::new()).collect();
-                    let mut displaced: Vec<WaveItem<'_, T>> = Vec::new();
-                    let mut inv_at = 0usize;
-                    for i in wstart..wend {
-                        let cop = &plan.ops[i];
-                        let invocations = if tall {
-                            1
-                        } else {
-                            cop.op.charge_rows(s).div_ceil(s)
-                        };
-                        let Some(&unit) = partition.assignment.get(inv_at) else {
-                            return Err(split_mismatch());
-                        };
-                        inv_at += invocations;
-                        acct.charge_wave_op(&cop.op);
-                        let mut item =
-                            build_item(arena, inputs, outputs, &stamps, &mut pool, plan, i)?;
-                        item.rows = cop.op.charge_rows(s) as u64;
-                        item.sim_cost = acct.op_cost(&cop.op);
-                        if let Some(r) = rec {
-                            let t = r.now_ns();
-                            emit_span(
-                                rec,
-                                tcu_obs::Lane::Scheduler,
-                                Some(t),
-                                tcu_obs::EventKind::ScratchAcquire {
-                                    unit: unit as u32,
-                                    reused: item.reused,
-                                    bytes: (cop.op.rows * cop.op.width * std::mem::size_of::<T>())
-                                        as u64,
-                                },
-                            );
-                        }
-                        if quarantined[unit] {
-                            displaced.push(item);
-                        } else {
-                            pending[unit].push(item);
-                        }
-                    }
-                    if inv_at != partition.assignment.len() {
-                        return Err(split_mismatch());
-                    }
-                    requeue_onto_survivors(&mut acct, &mut pending, displaced, &quarantined, wave)?;
-                    let units_busy = pending.iter().filter(|v| !v.is_empty()).count() as u32;
-
-                    // Execution rounds: dispatch every unit's batch to
-                    // its persistent worker, then collect outcomes in
-                    // unit order (deterministic for a given fault
-                    // plan). A round ends when every dispatched worker
-                    // answers; units that died during the round are
-                    // quarantined and their unexecuted items
-                    // re-partitioned, then the next round runs the
-                    // requeued work.
-                    let mut finished: Vec<(usize, Matrix<T>)> = Vec::with_capacity(wend - wstart);
-                    loop {
-                        let was_busy: Vec<bool> = pending.iter().map(|v| !v.is_empty()).collect();
-                        if !was_busy.iter().any(|&b| b) {
-                            break;
-                        }
-                        // Wave indices assigned this round, per unit —
-                        // enough to rebuild a unit's entire round from
-                        // the environment if its worker dies so hard
-                        // its outcome is lost (outputs are pristine
-                        // until the merge pass, so rebuilt items are
-                        // byte-identical to the originals).
-                        let assigned: Vec<Vec<usize>> = pending
-                            .iter()
-                            .map(|v| v.iter().map(|it| it.idx).collect())
-                            .collect();
-                        let mut sent = vec![false; units];
-                        for u in 0..units {
-                            if was_busy[u] {
-                                let items = std::mem::take(&mut pending[u]);
-                                sent[u] = task_tx[u].send((items, max_attempts)).is_ok();
-                            }
-                        }
-                        // Process outcomes in unit order: record
-                        // fault/retry annotations, collect completed
-                        // scratches, quarantine dead units and gather
-                        // their unexecuted items for re-partitioning.
-                        // A failed send or a disconnected result
-                        // channel means the worker itself is gone —
-                        // the `lost` outcome, recovered like any other
-                        // permanent unit death.
-                        let mut requeue: Vec<WaveItem<'_, T>> = Vec::new();
-                        for u in 0..units {
-                            if !was_busy[u] {
-                                continue;
-                            }
-                            let outcome = if sent[u] {
-                                result_rx[u].recv().unwrap_or_else(|_| UnitOutcome::lost())
-                            } else {
-                                UnitOutcome::lost()
-                            };
-                            for note in &outcome.notes {
-                                match *note {
-                                    WorkerNote::Fault { transient } => {
-                                        acct.record_fault(u, transient);
-                                    }
-                                    WorkerNote::Retry { attempt, op } => {
-                                        let _ = acct.record_retry(u, attempt, op.charge_rows(s));
-                                    }
-                                }
-                            }
-                            finished.extend(outcome.done);
-                            match outcome.terminal {
-                                None => {}
-                                Some(Terminal::Exhausted { attempts }) => {
-                                    return Err(TcuError::RetriesExhausted {
-                                        unit: u,
-                                        wave,
-                                        attempts,
-                                    });
-                                }
-                                Some(Terminal::Dead { dirty }) => {
-                                    if !policy.quarantine {
-                                        return Err(TcuError::UnitFault { unit: u, wave });
-                                    }
-                                    quarantined[u] = true;
-                                    let mut leftover = outcome.leftover;
-                                    if outcome.lost {
-                                        // The whole round is rebuilt:
-                                        // nothing the worker did
-                                        // reached the outputs, and the
-                                        // charges were recorded at
-                                        // assembly.
-                                        leftover = assigned[u]
-                                            .iter()
-                                            .map(|&idx| {
-                                                build_item(
-                                                    arena, inputs, outputs, &stamps, &mut pool,
-                                                    plan, idx,
-                                                )
-                                                .map(|mut it| {
-                                                    it.rows =
-                                                        plan.ops[idx].op.charge_rows(s) as u64;
-                                                    it.sim_cost = acct.op_cost(&plan.ops[idx].op);
-                                                    it
-                                                })
-                                            })
-                                            .collect::<Result<_, _>>()?;
-                                    } else if dirty {
-                                        // A non-injected panic may have
-                                        // fired mid-write: rebuild the
-                                        // in-flight item's scratch from
-                                        // the (untouched) environment.
-                                        if let Some(first) = leftover.first_mut() {
-                                            let (rows, sim_cost) = (first.rows, first.sim_cost);
-                                            *first = build_item(
-                                                arena, inputs, outputs, &stamps, &mut pool, plan,
-                                                first.idx,
-                                            )?;
-                                            first.rows = rows;
-                                            first.sim_cost = sim_cost;
-                                        }
-                                    }
-                                    acct.record_quarantine(u, leftover.len());
-                                    requeue.extend(leftover);
-                                }
-                            }
-                        }
-                        requeue_onto_survivors(
-                            &mut acct,
-                            &mut pending,
-                            requeue,
-                            &quarantined,
-                            wave,
-                        )?;
-                    }
-
-                    // Merge pass, canonical order: copy each scratch
-                    // into its (disjoint) destination region of the
-                    // bound outputs, then recycle it. Reached only when
-                    // every item of the wave completed — an error above
-                    // discards the wave's scratches instead of
-                    // half-merging them.
-                    let merge_t0 = rec.map(tcu_obs::Recorder::now_ns);
-                    let merged = finished.len() as u32;
-                    finished.sort_unstable_by_key(|(idx, _)| *idx);
-                    for (idx, scratch) in finished {
-                        let cop = &plan.ops[idx];
-                        outputs[cop.out_buf]
-                            .as_mut()
-                            .unwrap_or_else(|| unreachable!("output bound (checked at assembly)"))
-                            .subview_mut(cop.out_r0, cop.out_c0, cop.out_rows, cop.out_cols)
-                            .copy_from(scratch.view());
-                        pool.push(scratch);
-                    }
-                    emit_span(
-                        rec,
-                        tcu_obs::Lane::Scheduler,
-                        merge_t0,
-                        tcu_obs::EventKind::Merge {
-                            items: merged,
-                            carried: 0,
-                        },
-                    );
-                    acct.complete_wave(partition.makespan());
-                    emit_span(
-                        rec,
-                        tcu_obs::Lane::Scheduler,
-                        wave_t0,
-                        tcu_obs::EventKind::Wave {
-                            wave: wave as u32,
-                            items: (wend - wstart) as u32,
-                            units_busy,
-                        },
-                    );
-                }
-                Ok(())
-            })();
-
-            // Shut the pool down and join every worker before leaving
-            // the scope: joining consumes any worker panic, so a dead
-            // worker can never re-raise at scope exit (lost workers
-            // were already recovered as quarantines above).
-            drop(task_tx);
-            for h in handles {
-                let _ = h.join();
-            }
-            run_result
-        })
-    }
-
-    /// The barrier-free dataflow driver, pinned regardless of
-    /// [`crate::exec_mode`]: ops dispatch as their hazard predecessors
-    /// commit, on the deterministic plan-time placement (see the
-    /// [module docs](self) and [`crate::dataflow`]). Panicking wrapper
-    /// over [`Schedule::try_run_dataflow`].
-    ///
-    /// # Panics
-    /// As [`Schedule::run_parallel`].
-    pub fn run_dataflow<T: Scalar, U: TensorUnit, E: Executor>(
-        &self,
-        mach: &mut ParallelTcuMachine<U, E>,
-        env: &mut ExecEnv<'_, T>,
-    ) {
-        self.try_run_dataflow(mach, env)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`Schedule::run_dataflow`] with fault recovery under the default
-    /// [`RecoveryPolicy`] and environment tuning, returning errors
-    /// instead of panicking.
-    pub fn try_run_dataflow<T: Scalar, U: TensorUnit, E: Executor>(
-        &self,
-        mach: &mut ParallelTcuMachine<U, E>,
-        env: &mut ExecEnv<'_, T>,
-    ) -> Result<(), TcuError> {
-        self.try_run_dataflow_with(
-            mach,
-            env,
-            RecoveryPolicy::default(),
-            DataflowTuning::from_env(),
-        )
+        self.try_run_dataflow_with(mach, env, policy, DataflowTuning::default())
     }
 
     /// The fault-tolerant dataflow driver under explicit `policy` and
@@ -1059,8 +560,7 @@ impl Schedule {
         let placement = place_dataflow(self, plan, tuning.steal_seed);
 
         // Snapshot arena, with never-written output-bound reads staged
-        // up front — exactly as the wave driver stages them (their
-        // content cannot change during the run).
+        // up front (their content cannot change during the run).
         let arena: Vec<OnceLock<Matrix<T>>> = (0..plan.slots).map(|_| OnceLock::new()).collect();
         for d in &plan.cond_stages {
             if env.inputs[d.buf].is_some() {
@@ -1112,7 +612,10 @@ impl Schedule {
                 cop.op.charge_rows(s).div_ceil(s)
             } as u32;
             if inv != self.node_invocations[i] {
-                return Err(split_mismatch());
+                return Err(TcuError::PlanMismatch {
+                    what: "machine splits ops differently than the schedule planned \
+                           (tall-operand support must match the planning unit)",
+                });
             }
         }
         // Charge the entire stream in emission order on the main
@@ -1168,18 +671,8 @@ fn emit_span(
     }
 }
 
-/// The plan/machine disagreement error of the wave driver's partition
-/// walk (the planning unit and the executing machine must split tall
-/// operands identically for the per-invocation assignment to line up).
-fn split_mismatch() -> TcuError {
-    TcuError::PlanMismatch {
-        what: "machine splits ops differently than the schedule planned \
-               (tall-operand support must match the planning unit)",
-    }
-}
-
-/// One op's share of a wave, bound for a specific unit's worker.
-struct WaveItem<'v, T: Scalar> {
+/// One op bound for a specific unit's worker.
+struct WorkItem<'v, T: Scalar> {
     /// Compiled-op index (canonical order), for the merge pass.
     idx: usize,
     op: tcu_core::TensorOp,
@@ -1199,7 +692,7 @@ struct WaveItem<'v, T: Scalar> {
 /// if its slot is filled (written-buffer reads always, never-written
 /// output-bound reads at run start), otherwise zero-copy from the
 /// bound input.
-fn wave_read<'v, T: Scalar>(
+fn staged_read<'v, T: Scalar>(
     arena: &'v [OnceLock<Matrix<T>>],
     inputs: &'v [Option<MatrixView<'_, T>>],
     r: &CompiledRead,
@@ -1247,9 +740,9 @@ fn take_scratch<T: Scalar>(
 /// and a scratch destination — zeros for overwrite ops (the kernel
 /// writes every element), the exact destination bytes for accumulating
 /// ops (so the kernel performs the identical arithmetic an in-place
-/// accumulate would). Also the rebuild path for faulted items: outputs
-/// stay untouched until the wave's merge pass, so building the same
-/// item twice yields byte-identical operands and seed.
+/// accumulate would). Also the rebuild path for faulted items: an op's
+/// destination stays untouched until its own commit, so building the
+/// same item twice yields byte-identical operands and seed.
 fn build_item<'v, T: Scalar>(
     arena: &'v [OnceLock<Matrix<T>>],
     inputs: &'v [Option<MatrixView<'_, T>>],
@@ -1258,7 +751,7 @@ fn build_item<'v, T: Scalar>(
     pool: &mut Vec<Matrix<T>>,
     plan: &ExecutablePlan,
     idx: usize,
-) -> Result<WaveItem<'v, T>, TcuError> {
+) -> Result<WorkItem<'v, T>, TcuError> {
     let mut reused = false;
     let mut item = resolve_item(arena, inputs, stamps, plan, idx, |cop| {
         let (mut scratch, recycled) =
@@ -1292,13 +785,13 @@ fn resolve_item<'v, T: Scalar>(
     plan: &ExecutablePlan,
     idx: usize,
     scratch: impl FnOnce(&CompiledOp) -> Result<Matrix<T>, TcuError>,
-) -> Result<WaveItem<'v, T>, TcuError> {
+) -> Result<WorkItem<'v, T>, TcuError> {
     let cop = &plan.ops[idx];
-    let a = wave_read(arena, inputs, &cop.a)?;
-    let b = wave_read(arena, inputs, &cop.b)?;
+    let a = staged_read(arena, inputs, &cop.a)?;
+    let b = staged_read(arena, inputs, &cop.b)?;
     let tag = read_tag(&cop.a, stamps[cop.a.buf]);
     let scratch = scratch(cop)?;
-    Ok(WaveItem {
+    Ok(WorkItem {
         idx,
         op: cop.op,
         a,
@@ -1323,7 +816,7 @@ fn carried_item<'v, T: Scalar>(
     plan: &ExecutablePlan,
     idx: usize,
     resident: &mut [Option<Matrix<T>>],
-) -> Result<WaveItem<'v, T>, TcuError> {
+) -> Result<WorkItem<'v, T>, TcuError> {
     resolve_item(arena, inputs, stamps, plan, idx, |_| {
         resident[idx].take().ok_or(TcuError::PlanMismatch {
             what: "carried accumulator missing at dispatch (driver bug)",
@@ -1331,18 +824,63 @@ fn carried_item<'v, T: Scalar>(
     })
 }
 
-/// A recovery annotation produced on a worker thread, recorded into the
-/// machine by the main thread (in unit order, so trace annotations are
-/// deterministic for a given fault plan).
+/// A recovery annotation of one op: produced on a worker thread
+/// (faults, retries) or by the main thread's quarantine, and recorded
+/// into the machine's trace and [`tcu_core::FaultStats`] on the main
+/// thread.
 #[derive(Clone, Copy)]
-enum WorkerNote {
+enum Note {
     /// A contained fault (transient = retried, permanent = unit died).
     Fault { transient: bool },
-    /// A retry attempt; the op identifies the backoff's cost basis.
-    Retry {
-        attempt: u32,
-        op: tcu_core::TensorOp,
-    },
+    /// Retry `attempt` (counting from 2, the first retry) of the op.
+    Retry { attempt: u32 },
+    /// The op's unit was quarantined, `requeued` ops moved to survivors.
+    Quarantine { requeued: usize },
+}
+
+/// The threaded executor's recovery annotations, held back until the
+/// run ends and then recorded in placement order — the order the
+/// inline executor meets them — instead of the order worker messages
+/// happen to arrive in. Notes of one op keep their arrival order (the
+/// sort is stable), which is their occurrence order on its unit. Their
+/// telemetry instants are emitted at record time, i.e. at the run's end.
+struct NoteLog {
+    /// Each op's position in the placement's global order.
+    pos: Vec<u32>,
+    /// `(position, unit, op index, note)`, in arrival order.
+    notes: Vec<(u32, usize, usize, Note)>,
+}
+
+impl NoteLog {
+    fn new(order: &[u32]) -> Self {
+        let mut pos = vec![0u32; order.len()];
+        for (k, &i) in order.iter().enumerate() {
+            pos[i as usize] = k as u32;
+        }
+        Self {
+            pos,
+            notes: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, unit: usize, idx: usize, note: Note) {
+        self.notes.push((self.pos[idx], unit, idx, note));
+    }
+
+    /// Record every buffered note into the machine, in placement order.
+    fn record<U: TensorUnit>(mut self, acct: &mut WaveAccountant<'_, U>, plan: &ExecutablePlan) {
+        let s = acct.sqrt_m();
+        self.notes.sort_by_key(|&(pos, ..)| pos);
+        for (_, unit, idx, note) in self.notes {
+            match note {
+                Note::Fault { transient } => acct.record_fault(unit, transient),
+                Note::Retry { attempt } => {
+                    let _ = acct.record_retry(unit, attempt, plan.ops[idx].op.charge_rows(s));
+                }
+                Note::Quarantine { requeued } => acct.record_quarantine(unit, requeued),
+            }
+        }
+    }
 }
 
 /// Why a unit's worker stopped executing mid-round.
@@ -1359,31 +897,15 @@ enum Terminal {
 struct UnitOutcome<'v, T: Scalar> {
     /// Completed `(op index, filled scratch)` pairs for the merge.
     done: Vec<(usize, Matrix<T>)>,
-    /// Fault/retry annotations, in occurrence order.
-    notes: Vec<WorkerNote>,
+    /// `(op index, fault/retry annotation)`, in occurrence order.
+    notes: Vec<(usize, Note)>,
     /// Why the worker stopped early, if it did.
     terminal: Option<Terminal>,
     /// Items not executed (the in-flight item first).
-    leftover: Vec<WaveItem<'v, T>>,
-    /// The worker died outside per-op containment and its state is
-    /// gone; the caller rebuilds the whole round from the environment.
-    lost: bool,
+    leftover: Vec<WorkItem<'v, T>>,
 }
 
-impl<T: Scalar> UnitOutcome<'_, T> {
-    /// The synthetic outcome for a worker whose channel disconnected.
-    fn lost() -> Self {
-        Self {
-            done: Vec::new(),
-            notes: vec![WorkerNote::Fault { transient: false }],
-            terminal: Some(Terminal::Dead { dirty: true }),
-            leftover: Vec::new(),
-            lost: true,
-        }
-    }
-}
-
-/// Run one unit's wave items in canonical order on its executor, with
+/// Run one unit's batch in queue order on its executor, with
 /// per-op fault containment: every execution is wrapped in
 /// `catch_unwind`, transient [`InjectedFault`]s retry in place (bounded
 /// by `max_attempts` — each retry consumes the executor's next
@@ -1394,7 +916,7 @@ impl<T: Scalar> UnitOutcome<'_, T> {
 /// or requeued item's seed is exactly as built.
 fn run_items_contained<'v, T: Scalar, E: Executor>(
     exec: &mut E,
-    items: Vec<WaveItem<'v, T>>,
+    items: Vec<WorkItem<'v, T>>,
     max_attempts: u32,
     rec: Option<&dyn tcu_obs::Recorder>,
     unit: u32,
@@ -1404,7 +926,6 @@ fn run_items_contained<'v, T: Scalar, E: Executor>(
         notes: Vec::new(),
         terminal: None,
         leftover: Vec::new(),
-        lost: false,
     };
     let mut iter = items.into_iter();
     while let Some(mut item) = iter.next() {
@@ -1438,24 +959,21 @@ fn run_items_contained<'v, T: Scalar, E: Executor>(
                 Err(payload) => {
                     let terminal = match payload.downcast::<InjectedFault>() {
                         Ok(fault) if fault.kind == FaultKind::Transient => {
-                            out.notes.push(WorkerNote::Fault { transient: true });
+                            out.notes.push((item.idx, Note::Fault { transient: true }));
                             if attempt >= max_attempts {
                                 Some(Terminal::Exhausted { attempts: attempt })
                             } else {
                                 attempt += 1;
-                                out.notes.push(WorkerNote::Retry {
-                                    attempt,
-                                    op: item.op,
-                                });
+                                out.notes.push((item.idx, Note::Retry { attempt }));
                                 None
                             }
                         }
                         Ok(_) => {
-                            out.notes.push(WorkerNote::Fault { transient: false });
+                            out.notes.push((item.idx, Note::Fault { transient: false }));
                             Some(Terminal::Dead { dirty: false })
                         }
                         Err(_foreign) => {
-                            out.notes.push(WorkerNote::Fault { transient: false });
+                            out.notes.push((item.idx, Note::Fault { transient: false }));
                             Some(Terminal::Dead { dirty: true })
                         }
                     };
@@ -1473,43 +991,9 @@ fn run_items_contained<'v, T: Scalar, E: Executor>(
     out
 }
 
-/// Re-partition `batch` (items displaced off quarantined units) onto
-/// the surviving units via LPT over the items' invocation costs,
-/// charging the batch's makespan as recovery time. Fails with
-/// [`TcuError::AllUnitsQuarantined`] when work remains and no unit
-/// survives.
-fn requeue_onto_survivors<'v, T: Scalar, U: TensorUnit>(
-    acct: &mut WaveAccountant<'_, U>,
-    pending: &mut [Vec<WaveItem<'v, T>>],
-    batch: Vec<WaveItem<'v, T>>,
-    quarantined: &[bool],
-    wave: usize,
-) -> Result<(), TcuError> {
-    if batch.is_empty() {
-        return Ok(());
-    }
-    let survivors: Vec<usize> = (0..pending.len()).filter(|&u| !quarantined[u]).collect();
-    if survivors.is_empty() {
-        return Err(TcuError::AllUnitsQuarantined {
-            wave,
-            pending: batch.len(),
-        });
-    }
-    let costs: Vec<u64> = batch
-        .iter()
-        .map(|it| invocation_cost_of(acct, &it.op))
-        .collect();
-    let part = partition_lpt(&costs, survivors.len());
-    acct.charge_recovery(part.makespan());
-    for (item, &slot) in batch.into_iter().zip(&part.assignment) {
-        pending[survivors[slot]].push(item);
-    }
-    Ok(())
-}
-
 /// The simulated cost recovery LPT weighs an op at: what the executing
 /// machine's unit charges for its invocations (the shared basis of the
-/// wave and dataflow requeue paths).
+/// inline and threaded requeue paths).
 fn invocation_cost_of<U: TensorUnit>(acct: &WaveAccountant<'_, U>, op: &tcu_core::TensorOp) -> u64 {
     let s = acct.sqrt_m();
     let n = op.charge_rows(s);
@@ -1549,12 +1033,11 @@ impl<T: Scalar> Drop for GoneGuard<'_, T> {
 }
 
 /// Stage op `idx`'s written-buffer reads whose snapshot slots are still
-/// empty — the dataflow driver's incremental replacement for the wave
-/// driver's per-wave staging pass. Sound at first-reader dispatch time:
-/// the reader's hazard predecessors (every generation-`gen` writer
-/// among them) have committed, and any later writer is hazard-gated
-/// behind this reader's own commit, so the region holds exactly the
-/// bytes the read's key names.
+/// empty, right before the op's dispatch. Sound at that point: the
+/// reader's hazard predecessors (every generation-`gen` writer among
+/// them) have committed, and any later writer is hazard-gated behind
+/// this reader's own commit, so the region holds exactly the bytes the
+/// read's key names.
 fn stage_pending_reads<T: Scalar>(
     arena: &[OnceLock<Matrix<T>>],
     written: &[bool],
@@ -1725,8 +1208,8 @@ fn run_dataflow_inline<'v, T: Scalar, U: TensorUnit, E: Executor>(
         let mut attempt = 1u32;
         loop {
             let u = unit_of[i] as usize;
-            let a = wave_read(arena, inputs, &cop.a)?;
-            let b = wave_read(arena, inputs, &cop.b)?;
+            let a = staged_read(arena, inputs, &cop.a)?;
+            let b = staged_read(arena, inputs, &cop.b)?;
             let tag = read_tag(&cop.a, stamps[cop.a.buf]);
             let host = outputs[cop.out_buf]
                 .as_mut()
@@ -1768,7 +1251,7 @@ fn run_dataflow_inline<'v, T: Scalar, U: TensorUnit, E: Executor>(
                         // Injected permanent faults fire before the
                         // executor writes, so the destination is intact
                         // and the op re-executes cleanly on a survivor
-                        // (with a fresh retry budget, as after a wave
+                        // (with a fresh retry budget, as after any
                         // requeue).
                         acct.record_fault(u, false);
                         if !policy.quarantine {
@@ -1813,8 +1296,9 @@ fn run_dataflow_inline<'v, T: Scalar, U: TensorUnit, E: Executor>(
 /// commits arriving scratches — releasing hazard successors — as
 /// frontiers clear. No barrier ever synchronizes units; determinism
 /// comes from the fixed queues (per-unit op sequences cannot depend on
-/// timing) and hazard-gated commits (overlapping writes retire in
-/// emission order).
+/// timing), hazard-gated commits (overlapping writes retire in
+/// emission order), and a [`NoteLog`] that records recovery
+/// annotations in placement order once the run ends.
 ///
 /// Accumulate chains never round-trip through the outputs: committing
 /// an op with a carry ([`crate::compile::Carries`]) parks its
@@ -1853,13 +1337,14 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
     let mut resident: Vec<Option<Matrix<T>>> = (0..plan.ops()).map(|_| None).collect();
     let carried_in = &plan.carries().carried_in;
     let mut remaining = plan.ops();
+    let mut log = NoteLog::new(&placement.order);
 
     let run_result = std::thread::scope(|scope| {
         let (result_tx, result_rx) = std::sync::mpsc::channel::<DfMsg<'v, T>>();
         let mut task_tx = Vec::with_capacity(units);
         let mut handles = Vec::with_capacity(units);
         for (u, exec) in execs.iter_mut().enumerate() {
-            let (ttx, trx) = std::sync::mpsc::channel::<(Vec<WaveItem<'v, T>>, u32)>();
+            let (ttx, trx) = std::sync::mpsc::channel::<(Vec<WorkItem<'v, T>>, u32)>();
             let rtx = result_tx.clone();
             let rec = recorder.clone();
             handles.push(scope.spawn(move || {
@@ -1883,8 +1368,7 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
             loop {
                 // Dispatch: every idle, live unit takes its maximal
                 // ready prefix — staged, built, and sent as ONE
-                // message (the batched replacement for per-wave
-                // per-round sends).
+                // message.
                 for u in 0..units {
                     if quarantined[u] || in_flight[u] || cursor[u] >= queues[u].len() {
                         continue;
@@ -1892,7 +1376,7 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
                     let rec = recorder.as_deref();
                     let stage_t0 = rec.map(tcu_obs::Recorder::now_ns);
                     let mut staged = 0u32;
-                    let mut batch: Vec<WaveItem<'v, T>> = Vec::new();
+                    let mut batch: Vec<WorkItem<'v, T>> = Vec::new();
                     let mut idxs: Vec<usize> = Vec::new();
                     while cursor[u] < queues[u].len() {
                         let i = queues[u][cursor[u]] as usize;
@@ -1988,19 +1472,11 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
                             notes,
                             terminal,
                             leftover,
-                            lost: _,
                         } = *outcome;
                         in_flight[u] = false;
                         dispatched[u].clear();
-                        for note in &notes {
-                            match *note {
-                                WorkerNote::Fault { transient } => {
-                                    acct.record_fault(u, transient);
-                                }
-                                WorkerNote::Retry { attempt, op } => {
-                                    let _ = acct.record_retry(u, attempt, op.charge_rows(s));
-                                }
-                            }
+                        for (idx, note) in notes {
+                            log.push(u, idx, note);
                         }
                         // Commit: retire the batch in emission order,
                         // then release each op's hazard successors.
@@ -2029,7 +1505,10 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
                         let Some(terminal) = terminal else {
                             continue;
                         };
-                        let lvl = leftover.first().map_or(0, |it| sched.nodes()[it.idx].level);
+                        // A terminal outcome always returns its in-flight
+                        // item first: the op the unit stopped at.
+                        let at = leftover.first().map_or(0, |it| it.idx);
+                        let lvl = sched.nodes()[at].level;
                         let dirty = matches!(terminal, Terminal::Dead { dirty: true });
                         let (mut displaced, lost_carry) =
                             reclaim_leftover(leftover, dirty, carried_in, &mut resident, &mut pool);
@@ -2050,7 +1529,8 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
                         quarantined[u] = true;
                         displaced.extend(queues[u][cursor[u]..].iter().map(|&x| x as usize));
                         cursor[u] = queues[u].len();
-                        acct.record_quarantine(u, displaced.len());
+                        let requeued = displaced.len();
+                        log.push(u, at, Note::Quarantine { requeued });
                         requeue_displaced(
                             acct,
                             plan,
@@ -2070,8 +1550,9 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
                         // unless it held a carried accumulator, whose
                         // committed result went down with it.
                         in_flight[u] = false;
-                        acct.record_fault(u, false);
-                        let lvl = dispatched[u].first().map_or(0, |&i| sched.nodes()[i].level);
+                        let at = dispatched[u].first().copied().unwrap_or(0);
+                        log.push(u, at, Note::Fault { transient: false });
+                        let lvl = sched.nodes()[at].level;
                         if !policy.quarantine || dispatched[u].iter().any(|&i| carried_in[i]) {
                             return Err(TcuError::UnitFault { unit: u, wave: lvl });
                         }
@@ -2079,7 +1560,8 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
                         let mut displaced = std::mem::take(&mut dispatched[u]);
                         displaced.extend(queues[u][cursor[u]..].iter().map(|&x| x as usize));
                         cursor[u] = queues[u].len();
-                        acct.record_quarantine(u, displaced.len());
+                        let requeued = displaced.len();
+                        log.push(u, at, Note::Quarantine { requeued });
                         requeue_displaced(
                             acct,
                             plan,
@@ -2103,19 +1585,29 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
         if run_result.is_err() {
             // Settle what was still in flight when the run failed —
             // finished ops commit, clean carried accumulators return to
-            // residence — then write every resident accumulator back,
-            // so the outputs hold exactly the committed ops' results.
+            // residence, faults join the log — then write every
+            // resident accumulator back, so the outputs hold exactly
+            // the committed ops' results.
             for msg in result_rx.try_iter() {
-                if let DfMsg::Done(_, outcome) = msg {
-                    let UnitOutcome {
-                        done,
-                        terminal,
-                        leftover,
-                        ..
-                    } = *outcome;
-                    commit_done(plan, done, outputs, &mut resident, &mut pool);
-                    let dirty = matches!(terminal, Some(Terminal::Dead { dirty: true }));
-                    reclaim_leftover(leftover, dirty, carried_in, &mut resident, &mut pool);
+                match msg {
+                    DfMsg::Done(u, outcome) => {
+                        let UnitOutcome {
+                            done,
+                            notes,
+                            terminal,
+                            leftover,
+                        } = *outcome;
+                        for (idx, note) in notes {
+                            log.push(u, idx, note);
+                        }
+                        commit_done(plan, done, outputs, &mut resident, &mut pool);
+                        let dirty = matches!(terminal, Some(Terminal::Dead { dirty: true }));
+                        reclaim_leftover(leftover, dirty, carried_in, &mut resident, &mut pool);
+                    }
+                    DfMsg::Gone(u) => {
+                        let at = dispatched[u].first().copied().unwrap_or(0);
+                        log.push(u, at, Note::Fault { transient: false });
+                    }
                 }
             }
             for (j, acc) in resident.iter_mut().enumerate() {
@@ -2126,6 +1618,7 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
         }
         run_result
     });
+    log.record(acct, plan);
     if run_result.is_ok() {
         debug_assert!(
             resident.iter().all(Option::is_none),
@@ -2187,7 +1680,7 @@ fn write_back<T: Scalar>(
 /// `dirty`, i.e. a foreign panic may have written it — carried an
 /// accumulator, which is then lost.
 fn reclaim_leftover<T: Scalar>(
-    leftover: Vec<WaveItem<'_, T>>,
+    leftover: Vec<WorkItem<'_, T>>,
     dirty: bool,
     carried_in: &[bool],
     resident: &mut [Option<Matrix<T>>],
@@ -2211,32 +1704,10 @@ fn reclaim_leftover<T: Scalar>(
     (idxs, lost)
 }
 
-/// The soundness precondition of concurrent wave execution: no two ops
-/// of one wave write overlapping output elements. The scheduler
-/// guarantees this by construction — `Node::conflicts` flags every
-/// write overlap and the leveler separates conflicting nodes — so the
-/// wave driver re-checks it in debug builds only (the check is
-/// quadratic in wave width).
-///
-/// # Panics
-/// Panics if two ops of the wave write overlapping regions.
-fn assert_wave_outputs_disjoint(wave: &[crate::ScheduledNode]) {
-    for (i, x) in wave.iter().enumerate() {
-        for y in &wave[i + 1..] {
-            assert!(
-                !x.node.out.overlaps(&y.node.out),
-                "wave holds overlapping output regions {:?} and {:?} — \
-                 concurrent execution would race; this is a scheduler bug",
-                x.node.out,
-                y.node.out
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::pipeline_graph;
     use crate::{OpGraph, Scheduler};
     use tcu_core::{ReplayExecutor, TensorOp};
     use tcu_linalg::ops::matmul_naive;
@@ -2376,33 +1847,6 @@ mod tests {
         assert_eq!(c2, matmul_naive(&a2, &b));
         let stats = mach.executor().pack_cache_stats().expect("cache on");
         assert_eq!(stats.misses, 2 * q as u64);
-    }
-
-    /// A two-stage RAW pipeline in one graph: M = A·B, then C = M·B —
-    /// the shape the pre-versioned runtime forced into two graphs.
-    fn pipeline_graph(d: usize, s: usize) -> (OpGraph, [crate::BufferId; 4]) {
-        let mut g = OpGraph::new();
-        let ab = g.buffer("A", d, d);
-        let bb = g.buffer("B", d, d);
-        let mb = g.buffer("M", d, d);
-        let cb = g.buffer("C", d, d);
-        let q = d / s;
-        for (src, dst) in [(ab, mb), (mb, cb)] {
-            for j in 0..q {
-                for k in 0..q {
-                    g.record(
-                        TensorOp {
-                            accumulate: true,
-                            ..TensorOp::padded(d, s, s)
-                        },
-                        crate::OperandRef::new(src, 0, k * s, d, s),
-                        crate::OperandRef::new(bb, k * s, j * s, s, s),
-                        crate::OperandRef::new(dst, 0, j * s, d, s),
-                    );
-                }
-            }
-        }
-        (g, [ab, bb, mb, cb])
     }
 
     #[test]
@@ -2616,51 +2060,5 @@ mod tests {
         let m = pseudo(8, 8, 1);
         let mut env = ExecEnv::new(&g);
         env.bind_input(mb, m.view());
-    }
-
-    /// Build one wave's worth of scheduled nodes writing the given
-    /// output rectangles of a shared buffer (for the disjointness
-    /// check's own tests — a real `Scheduler` can never emit such a
-    /// wave, which is exactly why the assertion exists).
-    fn wave_writing(outs: &[(usize, usize, usize, usize)]) -> Vec<crate::ScheduledNode> {
-        let s = 4usize;
-        let mut g = OpGraph::new();
-        let ab = g.buffer("A", s, s);
-        let bb = g.buffer("B", s, s);
-        let cb = g.buffer("C", 4 * s, 4 * s);
-        outs.iter()
-            .map(|&(r0, c0, rows, cols)| crate::ScheduledNode {
-                node: crate::Node {
-                    op: TensorOp::padded(rows, s, cols),
-                    a: crate::OperandRef::new(ab, 0, 0, rows, s),
-                    b: crate::OperandRef::new(bb, 0, 0, s, cols),
-                    out: crate::OperandRef::new(cb, r0, c0, rows, cols),
-                    a_gen: 0,
-                    b_gen: 0,
-                    out_gen: 0,
-                },
-                level: 0,
-                fused: 1,
-                a_gen: 0,
-                b_gen: 0,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn disjoint_wave_outputs_pass_the_assertion() {
-        // Adjacent but non-overlapping rectangles, including a shared
-        // edge — exactly the tightest layout a wave legally holds.
-        let wave = wave_writing(&[(0, 0, 4, 4), (0, 4, 4, 4), (4, 0, 4, 4), (4, 4, 8, 8)]);
-        assert_wave_outputs_disjoint(&wave);
-    }
-
-    #[test]
-    #[should_panic(expected = "overlapping output regions")]
-    fn disjointness_assertion_catches_an_overlapping_wave() {
-        // The second rectangle shares element (4, 4) with the third —
-        // a deliberate scheduling-invariant violation.
-        let wave = wave_writing(&[(0, 0, 4, 4), (0, 4, 8, 4), (4, 4, 4, 4)]);
-        assert_wave_outputs_disjoint(&wave);
     }
 }

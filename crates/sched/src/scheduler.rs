@@ -371,7 +371,9 @@ impl Schedule {
 
     /// Simulated wall-clock of the tensor work on `units()` units: the
     /// sum of per-wave LPT makespans. Equals [`Self::tensor_time`] on
-    /// one unit.
+    /// one unit. `run_parallel` charges the dataflow placement's
+    /// makespan instead, which never exceeds this
+    /// ([`Self::planned_parallel_time`]).
     #[must_use]
     pub fn makespan(&self) -> u64 {
         self.makespan

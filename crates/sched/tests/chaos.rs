@@ -1,4 +1,4 @@
-//! Chaos suite: the recovery contract of the fault-tolerant wave
+//! Chaos suite: the recovery contract of the fault-tolerant dataflow
 //! driver, under deterministic fault injection.
 //!
 //! For random RAW-pipeline graphs (the same generator as the
@@ -12,6 +12,14 @@
 //! which must themselves be reproducible: the same plan replayed twice
 //! yields the same fault trace.
 //!
+//! The full contract runs on the inline executor for every recoverable
+//! plan, and on the threaded executor for transient-only plans, whose
+//! fault trace must also equal the inline run's. Under permanent faults
+//! the threaded executor's recovery may depend on thread timing (the
+//! documented gap in the `tcu_sched::run` module docs), so there it
+//! must keep bytes, `Stats`, digest, and the within-run `time()`
+//! identity only.
+//!
 //! Unrecoverable plans must come back as typed [`TcuError`]s — never a
 //! panic, never an abort.
 
@@ -24,7 +32,7 @@ use tcu_core::{
     TcuError, TcuMachine, TensorOp, TraceLog,
 };
 use tcu_linalg::Matrix;
-use tcu_sched::{BufferId, ExecEnv, OpGraph, OperandRef, Schedule, Scheduler};
+use tcu_sched::{BufferId, DataflowTuning, ExecEnv, OpGraph, OperandRef, Schedule, Scheduler};
 
 const DIM: usize = 32;
 const SQRT_M: usize = 8;
@@ -32,6 +40,17 @@ const UNIT_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Execution indices covered by seeded plans — past any unit's per-run
 /// execution count, so planned faults actually land.
 const HORIZON: u64 = 64;
+/// The deterministic reference executor: the placement's global order,
+/// one op at a time.
+const INLINE: DataflowTuning = DataflowTuning {
+    steal_seed: 0,
+    inline: Some(true),
+};
+/// The worker-pool executor, forced even on a one-core host.
+const THREADED: DataflowTuning = DataflowTuning {
+    steal_seed: 0,
+    inline: Some(false),
+};
 
 /// Buffer handles of the shared 4-buffer layout (A, B inputs; C, D
 /// read-write) the generator records over.
@@ -111,12 +130,9 @@ struct ChaosRun {
     fault_stats: FaultStats,
 }
 
-/// One `try_run_wave_with` execution on a fresh machine whose every
-/// unit executor injects from `fplan`. Pinned to the wave driver: this
-/// suite is the wave driver's recovery contract (full fault-trace and
-/// `time()` replay determinism); the dataflow driver's fault contract —
-/// byte-unobservable recovery, with replay determinism scoped to what
-/// barrier-free execution can promise — lives in `dataflow_exec.rs`.
+/// One `try_run_dataflow_with` execution under `tuning` on a fresh
+/// machine whose every unit executor injects from `fplan`.
+#[allow(clippy::too_many_arguments)]
 fn run_faulty(
     g: &OpGraph,
     bufs: &Bufs,
@@ -125,6 +141,7 @@ fn run_faulty(
     seed: u64,
     fplan: FaultPlan,
     policy: RecoveryPolicy,
+    tuning: DataflowTuning,
 ) -> ChaosRun {
     silence_injected_fault_panics();
     let unit = ModelTensorUnit::new(SQRT_M * SQRT_M, 13);
@@ -149,7 +166,7 @@ fn run_faulty(
     env.bind_input(bufs.b, b.view());
     env.bind_output(bufs.c, c.view_mut());
     env.bind_output(bufs.d, d.view_mut());
-    let result = plan.try_run_wave_with(&mut mach, &mut env, policy);
+    let result = plan.try_run_dataflow_with(&mut mach, &mut env, policy, tuning);
     drop(env);
     ChaosRun {
         result,
@@ -162,12 +179,11 @@ fn run_faulty(
     }
 }
 
-/// The fault-free serial scheduled reference: elements, Stats, trace.
-fn serial_reference(
-    g: &OpGraph,
-    bufs: &Bufs,
-    seed: u64,
-) -> (Matrix<i64>, Matrix<i64>, tcu_core::Stats, TraceLog) {
+/// The fault-free serial reference: elements, Stats, trace.
+type Reference = (Matrix<i64>, Matrix<i64>, tcu_core::Stats, TraceLog);
+
+/// The fault-free serial scheduled run of `g`.
+fn serial_reference(g: &OpGraph, bufs: &Bufs, seed: u64) -> Reference {
     let unit = ModelTensorUnit::new(SQRT_M * SQRT_M, 13);
     let plan = Scheduler::new().plan(g, &unit);
     let mut ser = TcuMachine::new(unit);
@@ -189,82 +205,105 @@ fn serial_reference(
     (c, d, ser.stats().clone(), ser.take_trace())
 }
 
-/// The recovery contract at one unit count under one seeded plan.
+/// The within-run half of the recovery contract for a recoverable
+/// plan: the run succeeds, its elements, Stats, and digest are the
+/// fault-free run's, and recovery shows up exactly in `time()` and the
+/// fault annotations.
+fn assert_unobservable(run: &ChaosRun, reference: &Reference, plan: &Schedule, units: usize) {
+    let (c_ref, d_ref, stats_ref, trace_ref) = reference;
+    prop_assert!(
+        run.result.is_ok(),
+        "recoverable plan failed at {} units: {:?}",
+        units,
+        run.result
+    );
+
+    // The contract: elements, Stats, digest byte-identical to the
+    // fault-free run; the scheduled events (faults stripped) are
+    // the fault-free trace exactly.
+    prop_assert_eq!(&run.c, c_ref, "elements (C) at {} units", units);
+    prop_assert_eq!(&run.d, d_ref, "elements (D) at {} units", units);
+    prop_assert_eq!(&run.stats, stats_ref, "Stats at {} units", units);
+    prop_assert_eq!(run.trace.digest(), trace_ref.digest());
+    prop_assert_eq!(
+        run.trace.without_faults().events(),
+        trace_ref.events(),
+        "scheduled events at {} units",
+        units
+    );
+
+    // Recovery cost is visible where it should be: wall-clock at
+    // least the planned makespan, exceeding it exactly when the
+    // fault counters say recovery was charged.
+    prop_assert!(run.time >= plan.dataflow_makespan_seeded(0));
+    let charged = run.fault_stats.backoff_time + run.fault_stats.recovery_makespan;
+    prop_assert_eq!(run.time, plan.dataflow_makespan_seeded(0) + charged);
+    let saw_faults = run.fault_stats.transient_faults + run.fault_stats.permanent_faults > 0;
+    prop_assert_eq!(
+        !run.trace.fault_events().is_empty(),
+        saw_faults,
+        "fault annotations iff faults fired at {} units",
+        units
+    );
+}
+
+/// The replay half: the same plan replayed gives the same fault
+/// trace, the same counters, the same bytes.
+fn assert_replays(again: &ChaosRun, run: &ChaosRun, units: usize) {
+    prop_assert!(again.result.is_ok());
+    prop_assert_eq!((&again.c, &again.d), (&run.c, &run.d));
+    prop_assert_eq!(again.fault_stats, run.fault_stats);
+    prop_assert_eq!(
+        again.trace.fault_events(),
+        run.trace.fault_events(),
+        "fault trace must replay byte-identically at {} units",
+        units
+    );
+    prop_assert_eq!(again.time, run.time);
+}
+
+/// The recovery contract at every unit count under seeded plans: the
+/// full contract on the inline executor for recoverable plans and on
+/// the threaded executor for transient-only ones (with the inline
+/// run's fault trace), the within-run contract on the threaded
+/// executor under permanent faults.
 fn check_recovery_unobservable(seed: u64) {
     let (g, bufs) = random_graph(seed);
     let unit = ModelTensorUnit::new(SQRT_M * SQRT_M, 13);
-    let (c_ref, d_ref, stats_ref, trace_ref) = serial_reference(&g, &bufs, seed);
+    let reference = serial_reference(&g, &bufs, seed);
+    let policy = RecoveryPolicy::default();
 
     for units in UNIT_COUNTS {
         let plan = Scheduler::new().with_units(units).plan(&g, &unit);
+        let run_with = |fplan: &FaultPlan, tuning| {
+            run_faulty(&g, &bufs, &plan, units, seed, fplan.clone(), policy, tuning)
+        };
         // Recoverable by construction: no consecutive transients, at
         // most units − 1 permanent victims (and none at 1 unit).
         let fplan = FaultPlan::seeded(seed ^ 0xC44F, units, HORIZON, 150, units / 2);
-        let run = run_faulty(
-            &g,
-            &bufs,
-            &plan,
-            units,
-            seed,
-            fplan.clone(),
-            RecoveryPolicy::default(),
-        );
-        prop_assert!(
-            run.result.is_ok(),
-            "recoverable plan failed at {} units: {:?}",
-            units,
-            run.result
-        );
+        let run = run_with(&fplan, INLINE);
+        assert_unobservable(&run, &reference, &plan, units);
+        assert_replays(&run_with(&fplan, INLINE), &run, units);
 
-        // The contract: elements, Stats, digest byte-identical to the
-        // fault-free run; the scheduled events (faults stripped) are
-        // the fault-free trace exactly.
-        prop_assert_eq!(&run.c, &c_ref, "elements (C) at {} units", units);
-        prop_assert_eq!(&run.d, &d_ref, "elements (D) at {} units", units);
-        prop_assert_eq!(&run.stats, &stats_ref, "Stats at {} units", units);
-        prop_assert_eq!(run.trace.digest(), trace_ref.digest());
+        // The same plan on the worker pool: permanent faults may move
+        // its recovery with thread timing, never its results.
+        assert_unobservable(&run_with(&fplan, THREADED), &reference, &plan, units);
+
+        // Transient faults only: the worker pool replays exactly, and
+        // writes the inline executor's fault trace.
+        let transient = FaultPlan::seeded(seed ^ 0xC44F, units, HORIZON, 150, 0);
+        let threaded = run_with(&transient, THREADED);
+        assert_unobservable(&threaded, &reference, &plan, units);
+        assert_replays(&run_with(&transient, THREADED), &threaded, units);
+        let inline = run_with(&transient, INLINE);
         prop_assert_eq!(
-            run.trace.without_faults().events(),
-            trace_ref.events(),
-            "scheduled events at {} units",
+            threaded.trace.fault_events(),
+            inline.trace.fault_events(),
+            "threaded fault trace equals inline at {} units",
             units
         );
-
-        // Recovery cost is visible where it should be: wall-clock at
-        // least the planned makespan, exceeding it exactly when the
-        // fault counters say recovery was charged.
-        prop_assert!(run.time >= plan.makespan());
-        let charged = run.fault_stats.backoff_time + run.fault_stats.recovery_makespan;
-        prop_assert_eq!(run.time, plan.makespan() + charged);
-        let saw_faults = run.fault_stats.transient_faults + run.fault_stats.permanent_faults > 0;
-        prop_assert_eq!(
-            !run.trace.fault_events().is_empty(),
-            saw_faults,
-            "fault annotations iff faults fired at {} units",
-            units
-        );
-
-        // Reproducibility: the same plan replayed gives the same fault
-        // trace, the same counters, the same bytes.
-        let again = run_faulty(
-            &g,
-            &bufs,
-            &plan,
-            units,
-            seed,
-            fplan,
-            RecoveryPolicy::default(),
-        );
-        prop_assert!(again.result.is_ok());
-        prop_assert_eq!((&again.c, &again.d), (&run.c, &run.d));
-        prop_assert_eq!(again.fault_stats, run.fault_stats);
-        prop_assert_eq!(
-            again.trace.fault_events(),
-            run.trace.fault_events(),
-            "fault trace must replay byte-identically at {} units",
-            units
-        );
-        prop_assert_eq!(again.time, run.time);
+        prop_assert_eq!(threaded.fault_stats, inline.fault_stats);
+        prop_assert_eq!(threaded.time, inline.time);
     }
 }
 
@@ -316,7 +355,16 @@ fn exhausted_retries_fail_typed_not_panicking() {
         .fail(0, 0, FaultKind::Transient)
         .fail(0, 1, FaultKind::Transient)
         .fail(0, 2, FaultKind::Transient);
-    let run = run_faulty(&g, &bufs, &plan, 1, 3, fplan, RecoveryPolicy::default());
+    let run = run_faulty(
+        &g,
+        &bufs,
+        &plan,
+        1,
+        3,
+        fplan,
+        RecoveryPolicy::default(),
+        INLINE,
+    );
     match run.result {
         Err(TcuError::RetriesExhausted { unit, attempts, .. }) => {
             assert_eq!(unit, 0);
@@ -324,7 +372,8 @@ fn exhausted_retries_fail_typed_not_panicking() {
         }
         other => panic!("expected RetriesExhausted, got {other:?}"),
     }
-    // The failing wave's scratches were discarded, never half-merged.
+    // Injected faults fire before the executor writes: the failing op
+    // left its destination untouched.
     assert_eq!(run.c, Matrix::<i64>::zeros(DIM, DIM));
 }
 
@@ -340,7 +389,7 @@ fn raising_max_attempts_recovers_the_same_plan() {
         max_attempts: 4,
         quarantine: true,
     };
-    let run = run_faulty(&g, &bufs, &plan, 1, 3, fplan, policy);
+    let run = run_faulty(&g, &bufs, &plan, 1, 3, fplan, policy, INLINE);
     assert!(run.result.is_ok(), "{:?}", run.result);
     assert_eq!(run.fault_stats.transient_faults, 3);
     assert_eq!(run.fault_stats.retries, 3);
@@ -357,7 +406,16 @@ fn all_units_quarantined_fails_typed_not_hanging() {
     let fplan = FaultPlan::none()
         .fail(0, 0, FaultKind::Permanent)
         .fail(1, 0, FaultKind::Permanent);
-    let run = run_faulty(&g, &bufs, &plan, 2, 5, fplan, RecoveryPolicy::default());
+    let run = run_faulty(
+        &g,
+        &bufs,
+        &plan,
+        2,
+        5,
+        fplan,
+        RecoveryPolicy::default(),
+        INLINE,
+    );
     match run.result {
         Err(TcuError::AllUnitsQuarantined { pending, .. }) => assert!(pending > 0),
         other => panic!("expected AllUnitsQuarantined, got {other:?}"),
@@ -373,7 +431,7 @@ fn quarantine_off_makes_permanent_faults_fatal() {
         max_attempts: 3,
         quarantine: false,
     };
-    let run = run_faulty(&g, &bufs, &plan, 2, 5, fplan, policy);
+    let run = run_faulty(&g, &bufs, &plan, 2, 5, fplan, policy, INLINE);
     match run.result {
         Err(TcuError::UnitFault { unit, .. }) => assert_eq!(unit, 0),
         other => panic!("expected UnitFault, got {other:?}"),
@@ -385,7 +443,16 @@ fn single_dead_unit_is_quarantined_and_survivors_finish() {
     let (g, bufs) = two_op_graph();
     let plan = plan_at(&g, 2);
     let fplan = FaultPlan::none().fail(0, 0, FaultKind::Permanent);
-    let run = run_faulty(&g, &bufs, &plan, 2, 5, fplan, RecoveryPolicy::default());
+    let run = run_faulty(
+        &g,
+        &bufs,
+        &plan,
+        2,
+        5,
+        fplan,
+        RecoveryPolicy::default(),
+        INLINE,
+    );
     assert!(run.result.is_ok(), "{:?}", run.result);
     assert_eq!(run.fault_stats.quarantined_units, 1);
     assert_eq!(run.fault_stats.permanent_faults, 1);
@@ -395,7 +462,7 @@ fn single_dead_unit_is_quarantined_and_survivors_finish() {
     assert_eq!(run.stats, stats_ref);
     assert_eq!(run.trace.digest(), trace_ref.digest());
     assert!(
-        run.time > plan.makespan(),
+        run.time > plan.dataflow_makespan_seeded(0),
         "requeue makespan must be charged"
     );
 }

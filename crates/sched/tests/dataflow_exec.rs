@@ -3,7 +3,7 @@
 //! For random RAW-pipeline graphs (the chaos / thread-count-invariance
 //! generator) at every unit count in {1, 2, 4, 8}, both dataflow
 //! executors — inline and threaded — must be byte-identical to the
-//! serial scheduled run (hence to the wave driver, whose own identity
+//! serial scheduled run (hence to `run_parallel`, whose own identity
 //! `parallel_exec.rs` pins) in *elements*, *Stats*, and *trace digest*,
 //! under every steal seed, under seeded transient fault plans, and
 //! under seeded permanent (quarantine) fault plans. The simulated clock

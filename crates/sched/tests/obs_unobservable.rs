@@ -194,10 +194,8 @@ fn check_recorder_unobservable(seed: u64) {
             // recovery charges under *permanent* faults depend on
             // dispatch timing, which a recorder may perturb (see the
             // `tcu_sched::run` module docs).
-            let time_replayable = !faulty
-                || units < 2
-                || matches!(tcu_sched::exec_mode(), tcu_sched::ExecMode::Wave)
-                || tcu_sched::DataflowTuning::from_env().use_inline();
+            let time_replayable =
+                !faulty || units < 2 || tcu_sched::DataflowTuning::default().use_inline();
             if time_replayable {
                 prop_assert_eq!(on.time, off.time, "simulated clock at {:?}", label);
             }
@@ -221,21 +219,13 @@ fn check_recorder_unobservable(seed: u64) {
                 "per-op spans recorded at {:?}",
                 label
             );
-            match tcu_sched::exec_mode() {
-                tcu_sched::ExecMode::Wave => prop_assert_eq!(
-                    m.get(tcu_obs::Metric::Waves),
-                    plan.waves() as u64,
-                    "one wave span per wave at {:?}",
-                    label
-                ),
-                // The dataflow driver has no waves; its dispatch
-                // telemetry (ready-deque depth) proves recording.
-                tcu_sched::ExecMode::Dataflow => prop_assert!(
-                    m.get(tcu_obs::Metric::ReadyDepthPeak) >= 1,
-                    "ready spans recorded at {:?}",
-                    label
-                ),
-            }
+            // The driver's dispatch telemetry (ready-deque depth)
+            // proves recording.
+            prop_assert!(
+                m.get(tcu_obs::Metric::ReadyDepthPeak) >= 1,
+                "ready spans recorded at {:?}",
+                label
+            );
         }
     }
 }
