@@ -449,9 +449,9 @@ impl<U: TensorUnit, E: Executor> TcuMachine<U, E> {
         self.issue(TensorOp::padded(a.rows(), a.cols(), b.cols()), a, b)
     }
 
-    /// Meter one logical op: one native invocation on units with tall
-    /// support, `⌈n/√m⌉` square invocations otherwise. Trace events
-    /// record the *per-invocation* descriptor (rows as charged).
+    /// Meter one logical op as the invocations
+    /// [`TensorUnit::invocations`] splits it into. Trace events record
+    /// the *per-invocation* descriptor (rows as charged).
     /// Returns the total simulated cost charged, for telemetry.
     fn charge_op(&mut self, op: &TensorOp) -> u64 {
         let kind = match (op.pad, op.accumulate) {
@@ -461,27 +461,15 @@ impl<U: TensorUnit, E: Executor> TcuMachine<U, E> {
             (PadPolicy::ZeroPad, true) => 3,
         };
         self.issued_kinds[kind] += 1;
-        let s = self.sqrt_m();
-        let n = op.charge_rows(s);
+        let (count, rows) = self.unit.invocations(op);
         let mut charged = 0u64;
-        if self.unit.supports_tall() {
-            let cost = self.unit.invocation_cost(n);
-            let lat = self.unit.invocation_latency(n);
-            self.stats.record_tensor(n as u64, cost, lat);
+        for _ in 0..count {
+            let cost = self.unit.invocation_cost(rows);
+            let lat = self.unit.invocation_latency(rows);
+            self.stats.record_tensor(rows as u64, cost, lat);
             charged += cost;
             if let Some(t) = &mut self.trace {
-                t.push_tensor(TensorOp { rows: n, ..*op }, cost);
-            }
-        } else {
-            let tiles = n.div_ceil(s);
-            for _ in 0..tiles {
-                let cost = self.unit.invocation_cost(s);
-                let lat = self.unit.invocation_latency(s);
-                self.stats.record_tensor(s as u64, cost, lat);
-                charged += cost;
-                if let Some(t) = &mut self.trace {
-                    t.push_tensor(TensorOp { rows: s, ..*op }, cost);
-                }
+                t.push_tensor(TensorOp { rows, ..*op }, cost);
             }
         }
         charged

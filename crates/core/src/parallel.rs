@@ -254,22 +254,6 @@ impl<U: TensorUnit, E: Executor> ParallelTcuMachine<U, E> {
         }
     }
 
-    /// The hardware invocations one logical op decomposes into: a single
-    /// `charge_rows`-row invocation on units with native tall support,
-    /// `⌈n/√m⌉` independent square tiles otherwise — the same split the
-    /// serial machine's charge path applies, so parallel and serial
-    /// accounting agree per op (tiles also schedule independently, which
-    /// is exactly what a partitioned tall operand allows).
-    fn invocation_rows(&self, op: &TensorOp) -> Vec<usize> {
-        let s = self.sqrt_m();
-        let n = op.charge_rows(s);
-        if self.unit.supports_tall() {
-            vec![n]
-        } else {
-            vec![s; n.div_ceil(s)]
-        }
-    }
-
     /// The deterministic schedule this machine would use for a batch of
     /// ops, without executing anything: per-invocation unit assignment
     /// and per-unit loads under the unit's costing policy (an op that
@@ -278,8 +262,10 @@ impl<U: TensorUnit, E: Executor> ParallelTcuMachine<U, E> {
     pub fn plan(&self, ops: &[TensorOp]) -> Partition {
         let costs: Vec<u64> = ops
             .iter()
-            .flat_map(|op| self.invocation_rows(op))
-            .map(|rows| self.unit.invocation_cost(rows))
+            .flat_map(|op| {
+                let (count, rows) = self.unit.invocations(op);
+                std::iter::repeat_n(self.unit.invocation_cost(rows), count)
+            })
             .collect();
         partition_lpt(&costs, self.units())
     }
@@ -344,7 +330,8 @@ impl<U: TensorUnit, E: Executor> ParallelTcuMachine<U, E> {
             );
             op.validate(s);
             first_inv.push(costs.len());
-            for rows in self.invocation_rows(op) {
+            let (count, rows) = self.unit.invocations(op);
+            for _ in 0..count {
                 let cost = self.unit.invocation_cost(rows);
                 let lat = self.unit.invocation_latency(rows);
                 self.stats.record_tensor(rows as u64, cost, lat);
@@ -449,14 +436,9 @@ impl<U: TensorUnit> WaveAccountant<'_, U> {
     /// Panics if `op` violates the model's shape contract.
     #[must_use]
     pub fn op_cost(&self, op: &TensorOp) -> u64 {
-        let s = self.sqrt_m();
-        op.validate(s);
-        let n = op.charge_rows(s);
-        if self.unit.supports_tall() {
-            self.unit.invocation_cost(n)
-        } else {
-            n.div_ceil(s) as u64 * self.unit.invocation_cost(s)
-        }
+        op.validate(self.sqrt_m());
+        let (count, rows) = self.unit.invocations(op);
+        count as u64 * self.unit.invocation_cost(rows)
     }
 
     /// Emit an instant scheduler-lane telemetry event, when recording.
@@ -486,14 +468,8 @@ impl<U: TensorUnit> WaveAccountant<'_, U> {
     /// # Panics
     /// Panics if `op` violates the model's shape contract.
     pub fn charge_wave_op(&mut self, op: &TensorOp) {
-        let s = self.sqrt_m();
-        op.validate(s);
-        let n = op.charge_rows(s);
-        let (count, rows) = if self.unit.supports_tall() {
-            (1, n)
-        } else {
-            (n.div_ceil(s), s)
-        };
+        op.validate(self.sqrt_m());
+        let (count, rows) = self.unit.invocations(op);
         for _ in 0..count {
             let cost = self.unit.invocation_cost(rows);
             let lat = self.unit.invocation_latency(rows);
@@ -529,17 +505,17 @@ impl<U: TensorUnit> WaveAccountant<'_, U> {
         });
     }
 
-    /// Record a retry of a `rows`-row op on `unit` and charge its
-    /// simulated backoff into wall-clock: the op's invocation cost
-    /// again, doubled per extra attempt (`attempt` counts from 2, the
-    /// first retry). The charge lands in `makespan_time` — observable
-    /// via [`ParallelTcuMachine::time`] — never in `Stats`. Returns the
-    /// backoff charged.
-    pub fn record_retry(&mut self, unit: usize, attempt: u32, rows: usize) -> u64 {
-        let backoff = self
-            .unit
-            .invocation_cost(rows)
-            .wrapping_shl(attempt.saturating_sub(2));
+    /// Record a retry of `op` on `unit` and charge its simulated
+    /// backoff into wall-clock: the op's cost ([`Self::op_cost`], every
+    /// invocation it splits into) again, doubled per extra attempt
+    /// (`attempt` counts from 2, the first retry). The charge lands in
+    /// `makespan_time` — observable via [`ParallelTcuMachine::time`] —
+    /// never in `Stats`. Returns the backoff charged.
+    ///
+    /// # Panics
+    /// Panics if `op` violates the model's shape contract.
+    pub fn record_retry(&mut self, unit: usize, attempt: u32, op: &TensorOp) -> u64 {
+        let backoff = self.op_cost(op).wrapping_shl(attempt.saturating_sub(2));
         self.fault_stats.retries += 1;
         self.fault_stats.backoff_time += backoff;
         *self.makespan_time += backoff;
@@ -777,6 +753,16 @@ mod tests {
     }
 
     #[test]
+    fn weak_unit_retry_backoff_covers_every_tile() {
+        use crate::tensor_unit::WeakTensorUnit;
+        // A 12-row op is 3 square invocations on the weak unit, and a
+        // retry re-runs all of them.
+        let mut mach = ParallelTcuMachine::new(WeakTensorUnit::new(16, 7), 2);
+        let (mut acct, _) = mach.wave_parts();
+        assert_eq!(acct.record_retry(0, 2, &TensorOp::mul(12, 4)), 3 * (16 + 7));
+    }
+
+    #[test]
     fn scalar_work_stays_serial() {
         let mut mach = ParallelTcuMachine::new(ModelTensorUnit::new(16, 0), 8);
         mach.charge(1000);
@@ -791,8 +777,8 @@ mod tests {
 
         let (mut acct, _) = mach.wave_parts();
         acct.record_fault(1, true);
-        let b1 = acct.record_retry(1, 2, 8); // first retry: 1× cost
-        let b2 = acct.record_retry(1, 3, 8); // second retry: 2× cost
+        let b1 = acct.record_retry(1, 2, &TensorOp::mul(8, 4)); // first retry: 1× cost
+        let b2 = acct.record_retry(1, 3, &TensorOp::mul(8, 4)); // second retry: 2× cost
         acct.record_fault(0, false);
         acct.record_quarantine(0, 3);
         acct.charge_recovery(100);

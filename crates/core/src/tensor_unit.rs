@@ -14,6 +14,8 @@
 //!   sequence of the §2.2 weight-stationary array (defined in the
 //!   `tcu-systolic` crate, which implements this trait).
 
+use crate::op::TensorOp;
+
 /// A costing policy for tensor-unit invocations.
 ///
 /// `sqrt_m` is `√m`: the unit multiplies `n × √m` by `√m × √m` operands.
@@ -45,6 +47,21 @@ pub trait TensorUnit {
     /// in §2.2 ("matrix B … is percolated within the array as matrix A").
     fn supports_tall(&self) -> bool {
         true
+    }
+
+    /// The native invocations one logical op decomposes into, as
+    /// `(count, rows each)`: one `charge_rows`-row invocation on a unit
+    /// with tall support, `⌈n/√m⌉` square `√m`-row tiles otherwise. The
+    /// single statement of the tall-split rule — every charge, cost and
+    /// planning path derives its invocations from it.
+    fn invocations(&self, op: &TensorOp) -> (usize, usize) {
+        let s = self.sqrt_m();
+        let n = op.charge_rows(s);
+        if self.supports_tall() {
+            (1, n)
+        } else {
+            (n.div_ceil(s), s)
+        }
     }
 
     /// Hardware capacity `m = sqrt_m²`.
@@ -200,6 +217,17 @@ mod tests {
         let u = WeakTensorUnit::new(64, 5);
         assert!(!u.supports_tall());
         assert_eq!(u.invocation_cost(8), 64 + 5);
+    }
+
+    #[test]
+    fn tall_split_rule() {
+        let (model, weak) = (ModelTensorUnit::new(64, 5), WeakTensorUnit::new(64, 5));
+        // One n-row call on a tall unit, ⌈n/√m⌉ square tiles on the weak one.
+        assert_eq!(model.invocations(&TensorOp::mul(20, 8)), (1, 20));
+        assert_eq!(weak.invocations(&TensorOp::mul(20, 8)), (3, 8));
+        // Padded short ops charge √m rows either way.
+        assert_eq!(model.invocations(&TensorOp::padded(2, 3, 2)), (1, 8));
+        assert_eq!(weak.invocations(&TensorOp::padded(2, 3, 2)), (1, 8));
     }
 
     #[test]

@@ -5,30 +5,19 @@
 //! Planning resolves *what* to execute (coalesced ops, canonical order,
 //! wave partitions); compilation resolves *how*: every operand read is
 //! interned into a slot of a run-local snapshot arena keyed by
-//! `(buffer, rectangle, generation)`, every staging decision — does this
-//! read need a snapshot, and exactly before which op must it be taken —
-//! is precomputed into sorted directive lists, and the wave structure is
+//! `(buffer, rectangle, generation)`, and the wave structure is
 //! flattened into index ranges. The result is structural (no data, no
 //! scalar type): one compiled plan serves every environment whose buffer
 //! shapes match, which is what lets `gauss`/`closure` compile a stage's
 //! schedule once and re-run it against rebound buffers per step.
 //!
-//! Two directive classes cover the binding patterns staging must know
-//! about ahead of time:
-//!
-//! * **`serial_stages`** — reads of written buffers that some op reads
-//!   *while writing the same buffer*. Safe Rust cannot hold the output
-//!   binding mutably and read it at once, so the serial runtime
-//!   snapshots these (only these — every other read is zero-copy) right
-//!   before their first reader.
-//! * **`cond_stages`** — reads of buffers the graph never writes.
-//!   Normally input-bound and zero-copy; if the caller bound one as an
-//!   output instead, the parallel runtime snapshots it once at run
-//!   start (its content cannot change during the run).
-//!
-//! Every other read of a written buffer the parallel runtime snapshots
-//! into its slot right before its first reader's dispatch: workers run
-//! while the main thread retains mutable access to the outputs.
+//! Staging is decided per slot at run time (see the `run` module docs);
+//! the plan carries no directive lists. It only marks which reads are
+//! *same-buffer keys* (`CompiledRead::same_buf_key`): keys that some op
+//! reads while writing the same buffer. Safe Rust cannot hold an output
+//! binding mutably and read it at once, so the in-place executors
+//! (serial and inline) snapshot exactly these, lazily, at their first
+//! reader.
 //!
 //! Beyond staging, compilation resolves the hazard structure the
 //! dataflow driver gates on (predecessor counts, successor lists). The
@@ -54,9 +43,8 @@ use tcu_obs::Recorder as _;
 type ReadKey = (usize, usize, usize, usize, usize, u32);
 
 /// One compiled operand read: the resolved rectangle, its content
-/// version, its snapshot slot, and whether the *serial* runtime serves
-/// it from the snapshot (the parallel runtime decides per slot at run
-/// time instead, since staging there also depends on input bindings).
+/// version, its snapshot slot, and whether the slot is a same-buffer
+/// key.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct CompiledRead {
     pub(crate) buf: usize,
@@ -66,7 +54,9 @@ pub(crate) struct CompiledRead {
     pub(crate) cols: usize,
     pub(crate) gen: u32,
     pub(crate) slot: u32,
-    pub(crate) serial_staged: bool,
+    /// Some op reads this key while writing its buffer: the in-place
+    /// executors serve *every* reader of the key from one snapshot.
+    pub(crate) same_buf_key: bool,
 }
 
 /// One emitted op with every operand resolved to concrete offsets.
@@ -102,32 +92,14 @@ impl CompiledOp {
     }
 }
 
-/// A precomputed staging decision: snapshot `(buf, rectangle)` into
-/// `slot` before op `before_op` (the key's first reader) executes.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct StageDirective {
-    pub(crate) buf: usize,
-    pub(crate) r0: usize,
-    pub(crate) c0: usize,
-    pub(crate) rows: usize,
-    pub(crate) cols: usize,
-    pub(crate) slot: u32,
-    pub(crate) before_op: u32,
-}
-
-/// A [`Schedule`] lowered to its executable form: dense op array,
-/// sorted staging directives, and flattened wave ranges. Structural —
-/// it references logical buffers and slots, never data — so one
-/// compiled plan is re-runnable against any rebound environment of the
-/// same buffer shapes.
+/// A [`Schedule`] lowered to its executable form: dense op array with
+/// interned read slots, flattened wave ranges, and the hazard graph.
+/// Structural — it references logical buffers and slots, never data —
+/// so one compiled plan is re-runnable against any rebound environment
+/// of the same buffer shapes.
 #[derive(Clone, Debug, Default)]
 pub struct ExecutablePlan {
     pub(crate) ops: Vec<CompiledOp>,
-    /// Written-buffer keys with a same-buffer reader, by `before_op`.
-    pub(crate) serial_stages: Vec<StageDirective>,
-    /// Never-written-buffer keys (staged at run start if not
-    /// input-bound; parallel runtime only).
-    pub(crate) cond_stages: Vec<StageDirective>,
     /// Snapshot-arena size (one slot per distinct read key).
     pub(crate) slots: usize,
     /// `ops` index range of each wave, in wave order.
@@ -178,21 +150,6 @@ impl ExecutablePlan {
         self.wave_ranges.len()
     }
 
-    /// Distinct read keys (the snapshot arena's size). Most are never
-    /// materialized: only written-buffer reads snapshot on the parallel
-    /// path, and strictly fewer on the serial path.
-    #[must_use]
-    pub fn read_slots(&self) -> usize {
-        self.slots
-    }
-
-    /// Read keys the serial runtime snapshots (same-buffer
-    /// read-while-write only — everything else is zero-copy).
-    #[must_use]
-    pub fn serial_staged_reads(&self) -> usize {
-        self.serial_stages.len()
-    }
-
     /// Hazard edges between compiled ops (the dependency count the
     /// dataflow driver's ready gating walks).
     #[must_use]
@@ -221,17 +178,13 @@ impl ExecutablePlan {
     }
 }
 
-/// Intern one operand read: find-or-create its arena slot, record the
-/// first reader and whether any reader also writes the buffer.
-#[allow(clippy::too_many_arguments)]
+/// Intern one operand read: find-or-create its arena slot, and mark the
+/// slot a same-buffer key when this reader writes the read's buffer.
 fn intern_read(
     region: &OperandRef,
     gen: u32,
-    op_index: usize,
     out_buf: usize,
     slot_of: &mut HashMap<ReadKey, u32>,
-    keys: &mut Vec<ReadKey>,
-    first_reader: &mut Vec<u32>,
     same_buf: &mut Vec<bool>,
 ) -> CompiledRead {
     let key = (
@@ -242,11 +195,10 @@ fn intern_read(
         region.cols,
         gen,
     );
+    let next = slot_of.len() as u32;
     let slot = *slot_of.entry(key).or_insert_with(|| {
-        keys.push(key);
-        first_reader.push(op_index as u32);
         same_buf.push(false);
-        (keys.len() - 1) as u32
+        next
     });
     if region.buf.0 == out_buf {
         same_buf[slot as usize] = true;
@@ -259,16 +211,14 @@ fn intern_read(
         cols: region.cols,
         gen,
         slot,
-        serial_staged: false,
+        same_buf_key: false,
     }
 }
 
 /// Lower `sched` into its executable form. Validates every op against
 /// the planned `√m` once (execution re-checks nothing), resolves each
-/// read to a slot of the snapshot arena, and classifies every slot into
-/// the directive lists described in the module docs. Directive lists
-/// come out sorted by `before_op` for free: slots are created in
-/// first-reader order.
+/// read to a slot of the snapshot arena, and marks the reads of
+/// same-buffer keys.
 ///
 /// # Panics
 /// Panics if an emitted node's operand or output rectangles disagree
@@ -277,17 +227,7 @@ fn intern_read(
 /// them).
 pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuError> {
     let nodes = sched.nodes();
-    // A buffer is written iff an emitted node writes it: coalescing
-    // merges writes into fewer nodes but never removes a buffer's last
-    // write, so this matches the recorded graph's notion exactly.
-    let mut written = vec![false; sched.buffer_shapes.len()];
-    for sn in nodes {
-        written[sn.node.out.buf.0] = true;
-    }
-
     let mut slot_of: HashMap<ReadKey, u32> = HashMap::new();
-    let mut keys: Vec<ReadKey> = Vec::new();
-    let mut first_reader: Vec<u32> = Vec::new();
     let mut same_buf: Vec<bool> = Vec::new();
     let mut ops: Vec<CompiledOp> = Vec::with_capacity(nodes.len());
     let mut wave_ranges: Vec<(usize, usize)> = Vec::new();
@@ -300,26 +240,8 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
             wstart = i;
         }
         let out_buf = node.out.buf.0;
-        let a = intern_read(
-            &node.a,
-            sn.a_gen,
-            i,
-            out_buf,
-            &mut slot_of,
-            &mut keys,
-            &mut first_reader,
-            &mut same_buf,
-        );
-        let b = intern_read(
-            &node.b,
-            sn.b_gen,
-            i,
-            out_buf,
-            &mut slot_of,
-            &mut keys,
-            &mut first_reader,
-            &mut same_buf,
-        );
+        let a = intern_read(&node.a, sn.a_gen, out_buf, &mut slot_of, &mut same_buf);
+        let b = intern_read(&node.b, sn.b_gen, out_buf, &mut slot_of, &mut same_buf);
         assert!(
             node.op
                 .matches((node.a.rows, node.a.cols), (node.b.rows, node.b.cols)),
@@ -345,33 +267,13 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
         wave_ranges.push((wstart, nodes.len()));
     }
 
-    let mut serial_stages = Vec::new();
-    let mut cond_stages = Vec::new();
-    for (slot, key) in keys.iter().enumerate() {
-        let d = StageDirective {
-            buf: key.0,
-            r0: key.1,
-            c0: key.2,
-            rows: key.3,
-            cols: key.4,
-            slot: slot as u32,
-            before_op: first_reader[slot],
-        };
-        if !written[d.buf] {
-            cond_stages.push(d);
-        } else if same_buf[slot] {
-            serial_stages.push(d);
-        }
-    }
-    // A key with *any* same-buffer reader serves *all* its serial
+    // A key with *any* same-buffer reader serves *all* its in-place
     // readers from the snapshot — one snapshot, one code path, and the
     // bytes are identical either way (the snapshot is taken at the
     // region's exact content version).
     for cop in &mut ops {
         for r in [&mut cop.a, &mut cop.b] {
-            if written[r.buf] && same_buf[r.slot as usize] {
-                r.serial_staged = true;
-            }
+            r.same_buf_key = same_buf[r.slot as usize];
         }
     }
 
@@ -398,9 +300,7 @@ pub(crate) fn compile_schedule(sched: &Schedule) -> Result<ExecutablePlan, TcuEr
 
     Ok(ExecutablePlan {
         ops,
-        serial_stages,
-        cond_stages,
-        slots: keys.len(),
+        slots: slot_of.len(),
         wave_ranges,
         preds,
         succs,

@@ -7,9 +7,9 @@
 //! buffers it writes. Execution itself runs off the schedule's compiled
 //! form (see [`crate::compile`]): the first run lowers the schedule
 //! into an [`crate::ExecutablePlan`] whose ops carry concrete buffer
-//! offsets, precomputed staging directives, and the hazard graph, so
-//! the per-op hot loop does no hash lookups, no environment scans, and
-//! no staging decisions — it indexes dense arrays. Each left
+//! offsets, interned snapshot slots, and the hazard graph, so the
+//! per-op hot loop does no hash lookups and no environment scans — it
+//! indexes dense arrays. Each left
 //! operand is tagged with an [`OperandId`] whose generation combines a
 //! process-unique stamp (the environment's *epoch* for frozen
 //! input-bound reads, a fresh per-run stamp for reads of written
@@ -28,16 +28,23 @@
 //! updates, or a second pipeline stage consuming the first stage's
 //! product. The hazard order guarantees that when a reader of content
 //! version `gen` executes, the region holds exactly the bytes that
-//! version names — so *direct* reads of written buffers are always
-//! correct, and snapshots exist only where safe-Rust borrows force
-//! them: on the serial path, solely the same-buffer read-while-write
-//! case (one gather per `(region, generation)`, the same marshalling
-//! the eager blocked algorithms perform — every cross-buffer read is
-//! zero-copy); on the parallel path, every written-buffer read (worker
-//! threads cannot borrow the outputs the main thread retains mutable
-//! access to), snapshotted right before its first reader's dispatch.
-//! Which reads the serial path snapshots, and before which op, is
-//! decided at compile time; the run-time arena just fills the slots.
+//! version names — so *direct* reads of written buffers are correct in
+//! any order that respects every hazard edge, and snapshots exist only
+//! where safe-Rust borrows force them. Staging is decided per snapshot
+//! slot at run time, lazily, at the slot's first reader:
+//!
+//! * the **in-place** executors — serial [`Schedule::try_run`] and the
+//!   inline dataflow executor, two callers of one loop — snapshot only
+//!   *same-buffer keys*: regions some op reads while writing the same
+//!   buffer, which it cannot borrow while it holds the output mutably
+//!   (one gather per `(region, generation)`, the same marshalling the
+//!   eager blocked algorithms perform). Every other read is zero-copy
+//!   from the bound input or output;
+//! * the **threaded** dataflow executor snapshots every read it cannot
+//!   serve from a bound input — reads of written buffers, and of
+//!   never-written buffers bound as outputs — because its workers
+//!   cannot borrow the outputs the main thread keeps mutable access to.
+//!
 //! (Simulated cost is untouched either way: in the model, operand
 //! marshalling is covered by the invocation charge.)
 //!
@@ -81,13 +88,13 @@
 //!   fixed op sequence in order, so every unit's executor sees the
 //!   same op subsequence on every run;
 //! * **dispatch overhead** — each idle unit receives its entire ready
-//!   prefix as *one* channel message, and written-buffer reads are
-//!   snapshotted incrementally, right before their first reader's
-//!   dispatch. On a single-core host an inline executor skips workers,
-//!   channels, and scratch entirely and replays the placement's global
-//!   order serial-style — same bytes, same per-unit cache counters, no
-//!   dispatch overhead ([`DataflowTuning::inline`] forces either
-//!   executor).
+//!   prefix as *one* channel message, and reads are snapshotted
+//!   incrementally, right before their first reader's dispatch. On a
+//!   single-core host an inline executor skips workers, channels, and
+//!   scratch entirely and replays the placement's global order through
+//!   the serial runtime's in-place loop — same bytes, same per-unit
+//!   cache counters, no dispatch overhead ([`DataflowTuning::inline`]
+//!   forces either executor).
 //!
 //! # Fault tolerance
 //!
@@ -117,11 +124,12 @@
 //! `Err` included), so under transient faults both executors write the
 //! same fault trace on every run.
 //!
-//! Charges are recorded up front, so a run that *fails* still carries
-//! the full schedule's `Stats`. A *foreign* (non-[`InjectedFault`])
-//! panic — a real executor bug — fails the run with
-//! [`TcuError::UnitFault`] wherever the faulting op's destination held
-//! the only copy of committed work: every op under the inline executor
+//! Charges are recorded up front, so a parallel run that *fails* after
+//! its bindings were checked still carries the full schedule's `Stats`.
+//! A *foreign* (non-[`InjectedFault`]) panic — a real executor bug —
+//! fails the run with [`TcuError::UnitFault`] wherever the faulting
+//! op's destination held the only copy of committed work: every op
+//! under the inline executor
 //! (it writes in place), and carried ops under the threaded one (the
 //! torn scratch was the chain's accumulator). The threaded executor's
 //! other ops rebuild from the untouched outputs and requeue, and so
@@ -283,6 +291,30 @@ impl<'a, T: Scalar> ExecEnv<'a, T> {
         self.try_bind_output(id, view)
             .unwrap_or_else(|e| panic!("{e}"));
     }
+
+    /// Check that every buffer `plan` touches is bound: each op's output
+    /// (as an output), each read (as an input or an output). Every
+    /// executor runs this before it charges or executes anything, so a
+    /// binding mistake fails the run with nothing issued.
+    fn check_bound(&self, plan: &ExecutablePlan) -> Result<(), TcuError> {
+        for cop in &plan.ops {
+            if self.outputs[cop.out_buf].is_none() {
+                return Err(TcuError::Unbound {
+                    buffer: cop.out_buf,
+                    written: true,
+                });
+            }
+            for r in [&cop.a, &cop.b] {
+                if self.inputs[r.buf].is_none() && self.outputs[r.buf].is_none() {
+                    return Err(TcuError::Unbound {
+                        buffer: r.buf,
+                        written: false,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Per-buffer cache-tag stamps for one execution of a schedule.
@@ -327,31 +359,6 @@ fn read_tag(r: &CompiledRead, stamp: u64) -> OperandId {
     }
 }
 
-/// Resolve a compiled read on the serial path: the staged snapshot for
-/// same-buffer reads, otherwise zero-copy from the bound input or
-/// output view (callers check bindings first — see `try_run`).
-fn serial_read<'s, T: Scalar>(
-    arena: &'s [Option<Matrix<T>>],
-    inputs: &'s [Option<MatrixView<'_, T>>],
-    outputs: &'s [Option<MatrixViewMut<'_, T>>],
-    r: &CompiledRead,
-) -> MatrixView<'s, T> {
-    if r.serial_staged {
-        return arena[r.slot as usize]
-            .as_ref()
-            .unwrap_or_else(|| unreachable!("snapshot staged before use"))
-            .view();
-    }
-    match inputs[r.buf].as_ref() {
-        Some(v) => v.subview(r.r0, r.c0, r.rows, r.cols),
-        None => outputs[r.buf]
-            .as_ref()
-            .unwrap_or_else(|| unreachable!("direct read checked bound"))
-            .as_view()
-            .subview(r.r0, r.c0, r.rows, r.cols),
-    }
-}
-
 impl Schedule {
     /// Execute the planned stream on `mach` with `env`'s bindings: each
     /// emitted node issues one tagged tensor instruction (charged and
@@ -374,13 +381,11 @@ impl Schedule {
 
     /// [`Schedule::run`], returning errors instead of panicking:
     /// plan/machine mismatches, op contract violations, and unbound
-    /// buffers come back as [`TcuError`]s. Compilation errors (an op
-    /// violating the planned unit's contract) surface before anything
-    /// executes; on a mid-stream `Err` (an unbound buffer), the bound
-    /// outputs hold whatever the already-issued prefix of the stream
-    /// wrote (an error aborts mid-stream, it does not roll back). Fault
-    /// *recovery* (retry, quarantine) is a property of the parallel
-    /// driver — see [`Schedule::try_run_parallel`]; the serial
+    /// buffers come back as [`TcuError`]s. Every one of them is found
+    /// before the first op issues, so an `Err` leaves the machine
+    /// (`stats()`, `time()`, trace) and the bound outputs as they were.
+    /// Fault *recovery* (retry, quarantine) is a property of the
+    /// parallel driver — see [`Schedule::try_run_parallel`]; the serial
     /// path has no worker threads to contain, so an executor panic here
     /// propagates.
     pub fn try_run<T: Scalar, U: TensorUnit, E: Executor>(
@@ -393,74 +398,24 @@ impl Schedule {
                 what: "schedule was planned for a different tensor-unit size",
             });
         }
-        if env.shapes != self.buffer_shapes {
-            return Err(TcuError::PlanMismatch {
-                what: "environment built for a different graph (buffer shapes disagree)",
-            });
-        }
-        let plan = self.compiled()?;
+        let plan = self.compile(env)?;
+        env.check_bound(plan)?;
         if let (Some(rec), None) = (env.recorder.clone(), mach.recorder_handle()) {
             mach.enable_recorder(rec);
         }
         let stamps = tag_stamps(env);
-        let mut arena: Vec<Option<Matrix<T>>> = (0..plan.slots).map(|_| None).collect();
-        let mut next_stage = 0usize;
-        for (i, cop) in plan.ops.iter().enumerate() {
-            let mut host = env.outputs[cop.out_buf].take().ok_or(TcuError::Unbound {
-                buffer: cop.out_buf,
-                written: true,
-            })?;
-            // Snapshot every same-buffer-read key whose first reader is
-            // this op. The snapshot is taken before the op executes —
-            // exactly the content version the key names, by the hazard
-            // order — and an error must not leave the output binding
-            // moved out.
-            while next_stage < plan.serial_stages.len()
-                && plan.serial_stages[next_stage].before_op as usize == i
-            {
-                let d = plan.serial_stages[next_stage];
-                let snap = if d.buf == cop.out_buf {
-                    host.as_view()
-                        .subview(d.r0, d.c0, d.rows, d.cols)
-                        .to_matrix()
-                } else {
-                    match env.outputs[d.buf].as_ref() {
-                        Some(v) => v.as_view().subview(d.r0, d.c0, d.rows, d.cols).to_matrix(),
-                        None => {
-                            env.outputs[cop.out_buf] = Some(host);
-                            return Err(TcuError::Unbound {
-                                buffer: d.buf,
-                                written: false,
-                            });
-                        }
-                    }
-                };
-                arena[d.slot as usize] = Some(snap);
-                next_stage += 1;
-            }
-            // Direct (zero-copy) reads fail *before* any view is taken,
-            // so the output binding can be restored on the way out.
-            for r in [&cop.a, &cop.b] {
-                if !r.serial_staged
-                    && env.inputs[r.buf].is_none()
-                    && env.outputs[r.buf].is_none()
-                    && r.buf != cop.out_buf
-                {
-                    env.outputs[cop.out_buf] = Some(host);
-                    return Err(TcuError::Unbound {
-                        buffer: r.buf,
-                        written: false,
-                    });
-                }
-            }
-            let a = serial_read(&arena, &env.inputs, &env.outputs, &cop.a);
-            let b = serial_read(&arena, &env.inputs, &env.outputs, &cop.b);
-            let tag = read_tag(&cop.a, stamps[cop.a.buf]);
-            let mut out_view = host.subview_mut(cop.out_r0, cop.out_c0, cop.out_rows, cop.out_cols);
-            mach.issue_into_tagged(cop.op, a, Some(tag), b, &mut out_view);
-            env.outputs[cop.out_buf] = Some(host);
-        }
-        Ok(())
+        run_in_place(
+            plan,
+            0..plan.ops(),
+            &env.inputs,
+            &mut env.outputs,
+            &stamps,
+            None,
+            |_, i, a, tag, b, out| {
+                mach.issue_into_tagged(plan.ops[i].op, a, Some(tag), b, out);
+                Ok(())
+            },
+        )
     }
 
     /// Execute the planned stream *across the units* of a parallel
@@ -546,78 +501,29 @@ impl Schedule {
                 what: "schedule was planned for a different unit count",
             });
         }
-        if env.shapes != self.buffer_shapes {
-            return Err(TcuError::PlanMismatch {
-                what: "environment built for a different graph (buffer shapes disagree)",
-            });
-        }
-        let plan = self.compiled()?;
-        if let (Some(rec), None) = (env.recorder.clone(), mach.recorder_handle()) {
-            mach.enable_recorder(rec);
-        }
-        let recorder = mach.recorder_handle();
-        let stamps = tag_stamps(env);
-        let placement = place_dataflow(self, plan, tuning.steal_seed);
-
-        // Snapshot arena, with never-written output-bound reads staged
-        // up front (their content cannot change during the run).
-        let arena: Vec<OnceLock<Matrix<T>>> = (0..plan.slots).map(|_| OnceLock::new()).collect();
-        for d in &plan.cond_stages {
-            if env.inputs[d.buf].is_some() {
-                continue;
-            }
-            let snap = env.outputs[d.buf]
-                .as_ref()
-                .ok_or(TcuError::Unbound {
-                    buffer: d.buf,
-                    written: false,
-                })?
-                .as_view()
-                .subview(d.r0, d.c0, d.rows, d.cols)
-                .to_matrix();
-            let _ = arena[d.slot as usize].set(snap);
-        }
-
-        let arena = &arena;
-        let written = &env.written;
-        let inputs = &env.inputs;
-        let outputs = &mut env.outputs;
-        let (mut acct, execs) = mach.wave_parts();
-
-        // Upfront validation: every output bound, every read resolvable
-        // (input-bound, or output-bound and hence stageable), and the
-        // machine splitting ops exactly as the planning unit did —
-        // checked for the *whole* stream before anything is charged or
-        // executed, since charging happens up front below.
-        let s = acct.sqrt_m();
-        let tall = acct.unit().supports_tall();
-        for (i, cop) in plan.ops.iter().enumerate() {
-            if outputs[cop.out_buf].is_none() {
-                return Err(TcuError::Unbound {
-                    buffer: cop.out_buf,
-                    written: true,
-                });
-            }
-            for r in [&cop.a, &cop.b] {
-                if inputs[r.buf].is_none() && outputs[r.buf].is_none() {
-                    return Err(TcuError::Unbound {
-                        buffer: r.buf,
-                        written: false,
-                    });
-                }
-            }
-            let inv = if tall {
-                1
-            } else {
-                cop.op.charge_rows(s).div_ceil(s)
-            } as u32;
-            if inv != self.node_invocations[i] {
+        let plan = self.compile(env)?;
+        env.check_bound(plan)?;
+        // The machine must split ops exactly as the planning unit did
+        // (the placement's invocation walk depends on it) — checked for
+        // the whole stream before anything is charged or executed.
+        for (cop, &inv) in plan.ops.iter().zip(&self.node_invocations) {
+            if mach.unit().invocations(&cop.op).0 as u32 != inv {
                 return Err(TcuError::PlanMismatch {
                     what: "machine splits ops differently than the schedule planned \
                            (tall-operand support must match the planning unit)",
                 });
             }
         }
+        if let (Some(rec), None) = (env.recorder.clone(), mach.recorder_handle()) {
+            mach.enable_recorder(rec);
+        }
+        let recorder = mach.recorder_handle();
+        let stamps = tag_stamps(env);
+        let placement = place_dataflow(self, plan, tuning.steal_seed);
+        let inputs = &env.inputs;
+        let outputs = &mut env.outputs;
+        let (mut acct, execs) = mach.wave_parts();
+
         // Charge the entire stream in emission order on the main
         // thread: byte-identical `Stats` and trace to the serial run,
         // no matter how execution interleaves below.
@@ -632,8 +538,6 @@ impl Schedule {
                 &placement,
                 &mut acct,
                 execs,
-                arena,
-                written,
                 inputs,
                 outputs,
                 &stamps,
@@ -641,12 +545,100 @@ impl Schedule {
                 recorder.as_deref(),
             )
         } else {
+            let arena: Vec<OnceLock<Matrix<T>>> =
+                (0..plan.slots).map(|_| OnceLock::new()).collect();
             run_dataflow_threaded(
-                self, plan, &placement, &mut acct, execs, arena, written, inputs, outputs, &stamps,
-                policy, &recorder,
+                self, plan, &placement, &mut acct, execs, &arena, inputs, outputs, &stamps, policy,
+                &recorder,
             )
         }
     }
+}
+
+/// The in-place executor behind serial [`Schedule::try_run`] and the
+/// inline dataflow executor. Walks `order`; for the `k`-th op `i` it
+/// takes the output binding out, resolves both operands, calls
+/// `issue(k, i, a, a's cache tag, b, destination rectangle)`, and puts
+/// the binding back (also when `issue` fails). A read of a
+/// same-buffer key is served from its arena slot, snapshotted at the
+/// key's first reader in `order` (telemetry: a stage span on `rec`);
+/// every other read is zero-copy from the bound input or output. Sound
+/// for any `order` that respects every hazard edge, which both emission
+/// order and the placement's global order do: each reader then sees
+/// exactly the content version its key names. Bindings are checked up
+/// front ([`ExecEnv::check_bound`]), so none is missing here.
+fn run_in_place<T: Scalar>(
+    plan: &ExecutablePlan,
+    order: impl IntoIterator<Item = usize>,
+    inputs: &[Option<MatrixView<'_, T>>],
+    outputs: &mut [Option<MatrixViewMut<'_, T>>],
+    stamps: &[u64],
+    rec: Option<&dyn tcu_obs::Recorder>,
+    mut issue: impl FnMut(
+        usize,
+        usize,
+        MatrixView<'_, T>,
+        OperandId,
+        MatrixView<'_, T>,
+        &mut MatrixViewMut<'_, T>,
+    ) -> Result<(), TcuError>,
+) -> Result<(), TcuError> {
+    let mut arena: Vec<Option<Matrix<T>>> = (0..plan.slots).map(|_| None).collect();
+    for (k, i) in order.into_iter().enumerate() {
+        let cop = &plan.ops[i];
+        let t0 = rec.map(tcu_obs::Recorder::now_ns);
+        let mut staged = 0;
+        for r in [&cop.a, &cop.b] {
+            let slot = &mut arena[r.slot as usize];
+            if r.same_buf_key && slot.is_none() {
+                let host = outputs[r.buf]
+                    .as_ref()
+                    .unwrap_or_else(|| unreachable!("same-buffer key bound (checked up front)"));
+                *slot = Some(
+                    host.as_view()
+                        .subview(r.r0, r.c0, r.rows, r.cols)
+                        .to_matrix(),
+                );
+                staged += 1;
+            }
+        }
+        if staged > 0 {
+            emit_span(
+                rec,
+                tcu_obs::Lane::Scheduler,
+                t0,
+                tcu_obs::EventKind::Stage { copies: staged },
+            );
+        }
+        let mut host = outputs[cop.out_buf]
+            .take()
+            .unwrap_or_else(|| unreachable!("output bound (checked up front)"));
+        // A same-buffer key is the only way to read the buffer `host`
+        // holds, so every direct read below finds its binding in place.
+        let read = |r: &CompiledRead| {
+            if r.same_buf_key {
+                return arena[r.slot as usize]
+                    .as_ref()
+                    .unwrap_or_else(|| unreachable!("snapshot staged above"))
+                    .view();
+            }
+            match &inputs[r.buf] {
+                Some(v) => v.subview(r.r0, r.c0, r.rows, r.cols),
+                None => outputs[r.buf]
+                    .as_ref()
+                    .unwrap_or_else(|| unreachable!("read bound (checked up front)"))
+                    .as_view()
+                    .subview(r.r0, r.c0, r.rows, r.cols),
+            }
+        };
+        let (a, b) = (read(&cop.a), read(&cop.b));
+        let tag = read_tag(&cop.a, stamps[cop.a.buf]);
+        let mut out = host.subview_mut(cop.out_r0, cop.out_c0, cop.out_rows, cop.out_cols);
+        let result = issue(k, i, a, tag, b, &mut out);
+        outputs[cop.out_buf] = Some(host);
+        result?;
+    }
+    Ok(())
 }
 
 /// Record one closed telemetry span: `t0` is the recorder clock at the
@@ -688,10 +680,9 @@ struct WorkItem<'v, T: Scalar> {
     sim_cost: u64,
 }
 
-/// Resolve a compiled read on the parallel path: the staged snapshot
-/// if its slot is filled (written-buffer reads always, never-written
-/// output-bound reads at run start), otherwise zero-copy from the
-/// bound input.
+/// Resolve a compiled read on the threaded path: the staged snapshot
+/// if its slot is filled (every read no bound input serves, see
+/// [`stage_pending_reads`]), otherwise zero-copy from the bound input.
 fn staged_read<'v, T: Scalar>(
     arena: &'v [OnceLock<Matrix<T>>],
     inputs: &'v [Option<MatrixView<'_, T>>],
@@ -869,13 +860,12 @@ impl NoteLog {
 
     /// Record every buffered note into the machine, in placement order.
     fn record<U: TensorUnit>(mut self, acct: &mut WaveAccountant<'_, U>, plan: &ExecutablePlan) {
-        let s = acct.sqrt_m();
         self.notes.sort_by_key(|&(pos, ..)| pos);
         for (_, unit, idx, note) in self.notes {
             match note {
                 Note::Fault { transient } => acct.record_fault(unit, transient),
                 Note::Retry { attempt } => {
-                    let _ = acct.record_retry(unit, attempt, plan.ops[idx].op.charge_rows(s));
+                    let _ = acct.record_retry(unit, attempt, &plan.ops[idx].op);
                 }
                 Note::Quarantine { requeued } => acct.record_quarantine(unit, requeued),
             }
@@ -991,19 +981,6 @@ fn run_items_contained<'v, T: Scalar, E: Executor>(
     out
 }
 
-/// The simulated cost recovery LPT weighs an op at: what the executing
-/// machine's unit charges for its invocations (the shared basis of the
-/// inline and threaded requeue paths).
-fn invocation_cost_of<U: TensorUnit>(acct: &WaveAccountant<'_, U>, op: &tcu_core::TensorOp) -> u64 {
-    let s = acct.sqrt_m();
-    let n = op.charge_rows(s);
-    if acct.unit().supports_tall() {
-        acct.unit().invocation_cost(n)
-    } else {
-        (n.div_ceil(s) as u64) * acct.unit().invocation_cost(s)
-    }
-}
-
 /// One worker→main message of the threaded dataflow driver: a batch's
 /// outcome, or a drop-guard notice that the worker died outside per-op
 /// containment (the outcome rides in a `Box` so the two variants stay
@@ -1032,15 +1009,16 @@ impl<T: Scalar> Drop for GoneGuard<'_, T> {
     }
 }
 
-/// Stage op `idx`'s written-buffer reads whose snapshot slots are still
-/// empty, right before the op's dispatch. Sound at that point: the
-/// reader's hazard predecessors (every generation-`gen` writer among
-/// them) have committed, and any later writer is hazard-gated behind
-/// this reader's own commit, so the region holds exactly the bytes the
-/// read's key names.
+/// Stage op `idx`'s reads that no bound input serves (reads of written
+/// buffers, and of never-written buffers bound as outputs) whose
+/// snapshot slots are still empty, right before the op's dispatch.
+/// Sound at that point: the reader's hazard predecessors (every
+/// generation-`gen` writer among them) have committed, and any later
+/// writer is hazard-gated behind this reader's own commit, so the region
+/// holds exactly the bytes the read's key names.
 fn stage_pending_reads<T: Scalar>(
     arena: &[OnceLock<Matrix<T>>],
-    written: &[bool],
+    inputs: &[Option<MatrixView<'_, T>>],
     outputs: &[Option<MatrixViewMut<'_, T>>],
     plan: &ExecutablePlan,
     idx: usize,
@@ -1048,7 +1026,7 @@ fn stage_pending_reads<T: Scalar>(
     let cop = &plan.ops[idx];
     let mut staged = 0;
     for r in [&cop.a, &cop.b] {
-        if !written[r.buf] || arena[r.slot as usize].get().is_some() {
+        if inputs[r.buf].is_some() || arena[r.slot as usize].get().is_some() {
             continue;
         }
         let snap = outputs[r.buf]
@@ -1066,75 +1044,18 @@ fn stage_pending_reads<T: Scalar>(
     Ok(staged)
 }
 
-/// Re-partition displaced op *indices* (a quarantined unit's in-flight
-/// and queued work) onto the survivors via LPT, charging the batch's
-/// makespan as recovery time, and insert each into its survivor's
-/// queue beyond the dispatch cursor, keeping every queue sorted by
-/// `(placement start, emission index)`. That invariant is the dataflow
-/// executor's deadlock-freedom proof: hazard edges only ever point to
-/// strictly larger `(start, index)` keys, so the uncommitted op with
-/// the globally smallest key always sits at some live queue's front
-/// with every predecessor committed — dispatch can always progress.
-/// (Items are rebuilt from the untouched environment at their next
-/// dispatch, which also covers a dirty in-flight scratch.)
-#[allow(clippy::too_many_arguments)]
-fn requeue_displaced<U: TensorUnit>(
+/// Re-partition displaced ops (a quarantined unit's unexecuted work)
+/// onto the units not yet quarantined via LPT over their invocation
+/// costs, charging the batch's makespan as recovery time — the shared
+/// basis of the inline and threaded recovery paths. Returns each op's
+/// survivor, as `(op index, unit)`.
+fn repartition<U: TensorUnit>(
     acct: &mut WaveAccountant<'_, U>,
     plan: &ExecutablePlan,
-    start: &[u64],
-    queues: &mut [Vec<u32>],
-    cursor: &[usize],
-    displaced: Vec<usize>,
+    displaced: &[usize],
     quarantined: &[bool],
     level: usize,
-) -> Result<(), TcuError> {
-    if displaced.is_empty() {
-        return Ok(());
-    }
-    let survivors: Vec<usize> = (0..queues.len()).filter(|&v| !quarantined[v]).collect();
-    if survivors.is_empty() {
-        return Err(TcuError::AllUnitsQuarantined {
-            wave: level,
-            pending: displaced.len(),
-        });
-    }
-    let costs: Vec<u64> = displaced
-        .iter()
-        .map(|&j| invocation_cost_of(acct, &plan.ops[j].op))
-        .collect();
-    let part = partition_lpt(&costs, survivors.len());
-    acct.charge_recovery(part.makespan());
-    for (&j, &slot) in displaced.iter().zip(&part.assignment) {
-        let v = survivors[slot];
-        let key = (start[j], j as u32);
-        let pos = queues[v][cursor[v]..].partition_point(|&x| (start[x as usize], x) < key);
-        queues[v].insert(cursor[v] + pos, j as u32);
-    }
-    Ok(())
-}
-
-/// Quarantine `unit` on the inline dataflow path: re-assign every not-
-/// yet-executed op of the unit (`rest` is the unexecuted suffix of the
-/// placement's global order, current op first) onto the survivors via
-/// LPT, charging the batch's makespan as recovery time. The global
-/// execution order itself is unchanged — it respects every hazard edge
-/// regardless of unit assignment — so only `unit_of` moves.
-fn quarantine_inline<U: TensorUnit>(
-    acct: &mut WaveAccountant<'_, U>,
-    plan: &ExecutablePlan,
-    rest: &[u32],
-    unit_of: &mut [u32],
-    quarantined: &mut [bool],
-    unit: usize,
-    level: usize,
-) -> Result<(), TcuError> {
-    quarantined[unit] = true;
-    let displaced: Vec<usize> = rest
-        .iter()
-        .map(|&x| x as usize)
-        .filter(|&j| unit_of[j] as usize == unit)
-        .collect();
-    acct.record_quarantine(unit, displaced.len());
+) -> Result<Vec<(usize, usize)>, TcuError> {
     let survivors: Vec<usize> = (0..quarantined.len())
         .filter(|&v| !quarantined[v])
         .collect();
@@ -1146,35 +1067,51 @@ fn quarantine_inline<U: TensorUnit>(
     }
     let costs: Vec<u64> = displaced
         .iter()
-        .map(|&j| invocation_cost_of(acct, &plan.ops[j].op))
+        .map(|&j| acct.op_cost(&plan.ops[j].op))
         .collect();
     let part = partition_lpt(&costs, survivors.len());
     acct.charge_recovery(part.makespan());
-    for (&j, &slot) in displaced.iter().zip(&part.assignment) {
-        unit_of[j] = survivors[slot] as u32;
+    Ok(displaced
+        .iter()
+        .zip(&part.assignment)
+        .map(|(&j, &slot)| (j, survivors[slot]))
+        .collect())
+}
+
+/// Insert re-partitioned ops into their survivors' queues beyond the
+/// dispatch cursor, keeping every queue sorted by `(placement start,
+/// emission index)`. That invariant is the threaded executor's
+/// deadlock-freedom proof: hazard edges only ever point to strictly
+/// larger `(start, index)` keys, so the uncommitted op with the
+/// globally smallest key always sits at some live queue's front with
+/// every predecessor committed — dispatch can always progress. (Items
+/// are rebuilt from the untouched environment at their next dispatch,
+/// which also covers a dirty in-flight scratch.)
+fn requeue(moves: Vec<(usize, usize)>, start: &[u64], queues: &mut [Vec<u32>], cursor: &[usize]) {
+    for (j, v) in moves {
+        let key = (start[j], j as u32);
+        let pos = queues[v][cursor[v]..].partition_point(|&x| (start[x as usize], x) < key);
+        queues[v].insert(cursor[v] + pos, j as u32);
     }
-    Ok(())
 }
 
 /// The inline dataflow executor: replay the placement's global
-/// `(start, unit, index)` order serial-style — no workers, no
-/// channels, no scratch — executing each op on its assigned unit's
+/// `(start, unit, index)` order through [`run_in_place`] — no workers,
+/// no channels, no scratch — executing each op on its assigned unit's
 /// executor directly into the bound destination. Per-unit op sequences
 /// are the global order filtered by unit, i.e. exactly the threaded
 /// executor's queues, so pack-cache counters and fault-plan outcomes
-/// match the threaded driver op for op. The hot loop is the serial
-/// runtime's (on-demand staging, zero-copy reads, in-place writes),
-/// which is what makes single-core dataflow dispatch overhead ~zero.
+/// match the threaded driver op for op. Sharing the serial runtime's
+/// loop (same-buffer snapshots only, zero-copy reads, in-place writes)
+/// is what makes single-core dataflow dispatch overhead ~zero.
 #[allow(clippy::too_many_arguments)]
-fn run_dataflow_inline<'v, T: Scalar, U: TensorUnit, E: Executor>(
+fn run_dataflow_inline<T: Scalar, U: TensorUnit, E: Executor>(
     sched: &Schedule,
     plan: &ExecutablePlan,
     placement: &DataflowPlacement,
     acct: &mut WaveAccountant<'_, U>,
     execs: &mut [E],
-    arena: &'v [OnceLock<Matrix<T>>],
-    written: &[bool],
-    inputs: &'v [Option<MatrixView<'_, T>>],
+    inputs: &[Option<MatrixView<'_, T>>],
     outputs: &mut [Option<MatrixViewMut<'_, T>>],
     stamps: &[u64],
     policy: RecoveryPolicy,
@@ -1184,108 +1121,103 @@ fn run_dataflow_inline<'v, T: Scalar, U: TensorUnit, E: Executor>(
     let s = acct.sqrt_m();
     let mut unit_of = placement.unit_of.clone();
     let mut quarantined = vec![false; execs.len()];
-    for (k, &idx) in placement.order.iter().enumerate() {
-        let i = idx as usize;
-        let cop = &plan.ops[i];
-        let level = sched.nodes()[i].level;
-        let stage_t0 = recorder.map(tcu_obs::Recorder::now_ns);
-        let staged = stage_pending_reads(arena, written, outputs, plan, i)?;
-        if staged > 0 {
-            emit_span(
-                recorder,
-                tcu_obs::Lane::Scheduler,
-                stage_t0,
-                tcu_obs::EventKind::Stage { copies: staged },
-            );
-        }
-        let rows = cop.op.charge_rows(s) as u64;
-        let sim_cost = acct.op_cost(&cop.op);
-        let u0 = unit_of[i] as usize;
-        acct.record_ready(u0, 1);
-        if placement.home[i] as usize != u0 {
-            acct.record_steal(placement.home[i] as usize, u0);
-        }
-        let mut attempt = 1u32;
-        loop {
-            let u = unit_of[i] as usize;
-            let a = staged_read(arena, inputs, &cop.a)?;
-            let b = staged_read(arena, inputs, &cop.b)?;
-            let tag = read_tag(&cop.a, stamps[cop.a.buf]);
-            let host = outputs[cop.out_buf]
-                .as_mut()
-                .unwrap_or_else(|| unreachable!("output bound (validated up front)"));
-            let mut out_view = host.subview_mut(cop.out_r0, cop.out_c0, cop.out_rows, cop.out_cols);
-            let t0 = recorder.map(tcu_obs::Recorder::now_ns);
-            let exec = &mut execs[u];
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = exec.execute_tagged(&cop.op, a, Some(tag), b, &mut out_view);
-            }));
-            match result {
-                Ok(()) => {
-                    emit_span(
-                        recorder,
-                        tcu_obs::Lane::Unit(u as u32),
-                        t0,
-                        tcu_obs::EventKind::OpExec {
-                            unit: u as u32,
-                            rows,
-                            sim_cost,
-                        },
-                    );
-                    break;
-                }
-                Err(payload) => match payload.downcast::<InjectedFault>() {
-                    Ok(fault) if fault.kind == FaultKind::Transient => {
-                        acct.record_fault(u, true);
-                        if attempt >= max_attempts {
-                            return Err(TcuError::RetriesExhausted {
-                                unit: u,
-                                wave: level,
-                                attempts: attempt,
-                            });
-                        }
-                        attempt += 1;
-                        let _ = acct.record_retry(u, attempt, cop.op.charge_rows(s));
+    let order = placement.order.iter().map(|&i| i as usize);
+    run_in_place(
+        plan,
+        order,
+        inputs,
+        outputs,
+        stamps,
+        recorder,
+        |k, i, a, tag, b, out| {
+            let cop = &plan.ops[i];
+            let level = sched.nodes()[i].level;
+            let rows = cop.op.charge_rows(s) as u64;
+            let sim_cost = acct.op_cost(&cop.op);
+            let u0 = unit_of[i] as usize;
+            acct.record_ready(u0, 1);
+            if placement.home[i] as usize != u0 {
+                acct.record_steal(placement.home[i] as usize, u0);
+            }
+            let mut attempt = 1u32;
+            loop {
+                let u = unit_of[i] as usize;
+                let t0 = recorder.map(tcu_obs::Recorder::now_ns);
+                let exec = &mut execs[u];
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let _ = exec.execute_tagged(&cop.op, a, Some(tag), b, out);
+                }));
+                match result {
+                    Ok(()) => {
+                        emit_span(
+                            recorder,
+                            tcu_obs::Lane::Unit(u as u32),
+                            t0,
+                            tcu_obs::EventKind::OpExec {
+                                unit: u as u32,
+                                rows,
+                                sim_cost,
+                            },
+                        );
+                        return Ok(());
                     }
-                    Ok(_) => {
-                        // Injected permanent faults fire before the
-                        // executor writes, so the destination is intact
-                        // and the op re-executes cleanly on a survivor
-                        // (with a fresh retry budget, as after any
-                        // requeue).
-                        acct.record_fault(u, false);
-                        if !policy.quarantine {
+                    Err(payload) => match payload.downcast::<InjectedFault>() {
+                        Ok(fault) if fault.kind == FaultKind::Transient => {
+                            acct.record_fault(u, true);
+                            if attempt >= max_attempts {
+                                return Err(TcuError::RetriesExhausted {
+                                    unit: u,
+                                    wave: level,
+                                    attempts: attempt,
+                                });
+                            }
+                            attempt += 1;
+                            let _ = acct.record_retry(u, attempt, &cop.op);
+                        }
+                        Ok(_) => {
+                            // Injected permanent faults fire before the
+                            // executor writes, so the destination is intact
+                            // and the op re-executes cleanly on a survivor
+                            // (with a fresh retry budget, as after any
+                            // requeue). The global order itself is unchanged
+                            // — it respects every hazard edge regardless of
+                            // unit assignment — so only `unit_of` moves.
+                            acct.record_fault(u, false);
+                            if !policy.quarantine {
+                                return Err(TcuError::UnitFault {
+                                    unit: u,
+                                    wave: level,
+                                });
+                            }
+                            quarantined[u] = true;
+                            let displaced: Vec<usize> = placement.order[k..]
+                                .iter()
+                                .map(|&x| x as usize)
+                                .filter(|&j| unit_of[j] as usize == u)
+                                .collect();
+                            acct.record_quarantine(u, displaced.len());
+                            for (j, v) in repartition(acct, plan, &displaced, &quarantined, level)?
+                            {
+                                unit_of[j] = v as u32;
+                            }
+                            attempt = 1;
+                        }
+                        Err(_foreign) => {
+                            // A real executor bug may have half-written its
+                            // in-place destination — inline execution has
+                            // no scratch to rebuild from, so the run fails
+                            // (the threaded executor recovers instead).
+                            acct.record_fault(u, false);
                             return Err(TcuError::UnitFault {
                                 unit: u,
                                 wave: level,
                             });
                         }
-                        quarantine_inline(
-                            acct,
-                            plan,
-                            &placement.order[k..],
-                            &mut unit_of,
-                            &mut quarantined,
-                            u,
-                            level,
-                        )?;
-                        attempt = 1;
-                    }
-                    Err(_foreign) => {
-                        // A real executor bug may have half-written its
-                        // in-place destination — inline execution has
-                        // no scratch to rebuild from, so the run fails
-                        // (the scratch-based drivers recover instead).
-                        acct.record_fault(u, false);
-                        return Err(TcuError::UnitFault {
-                            unit: u,
-                            wave: level,
-                        });
-                    }
-                },
+                    },
+                }
             }
-        }
-    }
+        },
+    )?;
     acct.complete_wave(placement.makespan);
     Ok(())
 }
@@ -1314,7 +1246,6 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
     acct: &mut WaveAccountant<'_, U>,
     execs: &mut [E],
     arena: &'v [OnceLock<Matrix<T>>],
-    written: &[bool],
     inputs: &'v [Option<MatrixView<'_, T>>],
     outputs: &mut [Option<MatrixViewMut<'_, T>>],
     stamps: &[u64],
@@ -1384,7 +1315,7 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
                             break;
                         }
                         let built =
-                            stage_pending_reads(arena, written, outputs, plan, i).and_then(|n| {
+                            stage_pending_reads(arena, inputs, outputs, plan, i).and_then(|n| {
                                 staged += n;
                                 if carried_in[i] {
                                     carried_item(arena, inputs, stamps, plan, i, &mut resident)
@@ -1531,16 +1462,8 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
                         cursor[u] = queues[u].len();
                         let requeued = displaced.len();
                         log.push(u, at, Note::Quarantine { requeued });
-                        requeue_displaced(
-                            acct,
-                            plan,
-                            &placement.start,
-                            &mut queues,
-                            &cursor,
-                            displaced,
-                            &quarantined,
-                            lvl,
-                        )?;
+                        let moves = repartition(acct, plan, &displaced, &quarantined, lvl)?;
+                        requeue(moves, &placement.start, &mut queues, &cursor);
                     }
                     DfMsg::Gone(u) => {
                         // The worker died outside per-op containment:
@@ -1562,16 +1485,8 @@ fn run_dataflow_threaded<'v, T: Scalar, U: TensorUnit, E: Executor>(
                         cursor[u] = queues[u].len();
                         let requeued = displaced.len();
                         log.push(u, at, Note::Quarantine { requeued });
-                        requeue_displaced(
-                            acct,
-                            plan,
-                            &placement.start,
-                            &mut queues,
-                            &cursor,
-                            displaced,
-                            &quarantined,
-                            lvl,
-                        )?;
+                        let moves = repartition(acct, plan, &displaced, &quarantined, lvl)?;
+                        requeue(moves, &placement.start, &mut queues, &cursor);
                     }
                 }
             }
@@ -2021,36 +1936,95 @@ mod tests {
 
     #[test]
     fn schur_update_reads_and_writes_one_buffer() {
-        // The gauss kernel-D shape: X's trailing columns accumulate the
-        // product of X's own pivot panel with external weights.
-        let (d, s) = (8usize, 4usize);
+        // The gauss kernel-D shape: X's trailing column blocks accumulate
+        // the product of X's own pivot panel with external weights. Both
+        // ops read the panel while writing X, so every executor stages
+        // it (the in-place loop lazily, at its first reader; the threaded
+        // executor at its first dispatch) and all land the same bytes.
+        let (d, s) = (12usize, 4usize);
         let mut g = OpGraph::new();
         let xb = g.buffer("X", d, d);
-        let wb = g.buffer("W", s, s);
-        g.record(
-            TensorOp {
-                accumulate: true,
-                ..TensorOp::padded(s, s, s)
-            },
-            crate::OperandRef::new(xb, s, 0, s, s),
-            crate::OperandRef::new(wb, 0, 0, s, s),
-            crate::OperandRef::new(xb, s, s, s, s),
-        );
-        let mut mach = TcuMachine::model(s * s, 0);
+        let wb = g.buffer("W", s, 2 * s);
+        for j in 1..3 {
+            g.record(
+                TensorOp::mul_acc(d - s, s),
+                crate::OperandRef::new(xb, s, 0, d - s, s),
+                crate::OperandRef::new(wb, 0, (j - 1) * s, s, s),
+                crate::OperandRef::new(xb, s, j * s, d - s, s),
+            );
+        }
+        let unit = tcu_core::ModelTensorUnit::new(s * s, 0);
+        let plan = Scheduler::new().with_units(2).plan(&g, &unit);
+        assert_eq!(plan.ops(), 2);
+        let (x0, w) = (pseudo(d, d, 41), pseudo(s, 2 * s, 42));
+        let mut want = x0.clone();
+        let prod = matmul_naive(&x0.block(s, 0, d - s, s), &w);
+        want.subview_mut(s, s, d - s, 2 * s).add_assign(prod.view());
+
+        // `None` runs the serial path, `Some(inline)` the dataflow
+        // driver's inline or threaded executor on 2 units.
+        for inline in [None, Some(true), Some(false)] {
+            let mut x = x0.clone();
+            let mut env = ExecEnv::new(&g);
+            env.bind_input(wb, w.view());
+            env.bind_output(xb, x.view_mut());
+            match inline {
+                None => plan.run(&mut TcuMachine::new(unit), &mut env),
+                Some(inline) => plan
+                    .try_run_dataflow_with(
+                        &mut ParallelTcuMachine::new(unit, 2),
+                        &mut env,
+                        RecoveryPolicy::default(),
+                        DataflowTuning {
+                            inline: Some(inline),
+                            ..DataflowTuning::default()
+                        },
+                    )
+                    .unwrap_or_else(|e| panic!("{e}")),
+            }
+            drop(env);
+            assert_eq!(x, want, "executor {inline:?}");
+        }
+    }
+
+    #[test]
+    fn a_failed_serial_run_leaves_no_trace() {
+        // M = A·A, then C = M·X with X never bound: the run must fail
+        // before the first op issues, not after charging it.
+        let s = 4usize;
+        let mut g = OpGraph::new();
+        let ab = g.buffer("A", s, s);
+        let mb = g.buffer("M", s, s);
+        let xb = g.buffer("X", s, s);
+        let cb = g.buffer("C", s, s);
+        let whole = |buf| crate::OperandRef::new(buf, 0, 0, s, s);
+        let op = TensorOp::padded(s, s, s);
+        g.record(op, whole(ab), whole(ab), whole(mb));
+        g.record(op, whole(mb), whole(xb), whole(cb));
+        let mut mach = TcuMachine::model(s * s, 7);
+        mach.enable_trace();
         let plan = Scheduler::new().plan(&g, mach.unit());
-        let mut x = pseudo(d, d, 41);
-        let want = {
-            let mut w = x.clone();
-            let prod = matmul_naive(&x.block(s, 0, s, s), &pseudo(s, s, 42));
-            w.subview_mut(s, s, s, s).add_assign(prod.view());
-            w
-        };
-        let wmat = pseudo(s, s, 42);
+        assert_eq!(plan.ops(), 2);
+
+        let a = pseudo(s, s, 51);
+        let (mut m, mut c) = (pseudo(s, s, 52), pseudo(s, s, 53));
+        let (m0, c0) = (m.clone(), c.clone());
         let mut env = ExecEnv::new(&g);
-        env.bind_input(wb, wmat.view());
-        env.bind_output(xb, x.view_mut());
-        plan.run(&mut mach, &mut env);
-        assert_eq!(x, want);
+        env.bind_input(ab, a.view());
+        env.bind_output(mb, m.view_mut());
+        env.bind_output(cb, c.view_mut());
+        assert_eq!(
+            plan.try_run(&mut mach, &mut env),
+            Err(TcuError::Unbound {
+                buffer: xb.0,
+                written: false,
+            })
+        );
+        drop(env);
+        assert_eq!(mach.stats(), TcuMachine::model(s * s, 7).stats());
+        assert_eq!(mach.time(), 0);
+        assert!(mach.take_trace().is_empty());
+        assert_eq!((m, c), (m0, c0));
     }
 
     #[test]
